@@ -38,7 +38,8 @@ def main() -> None:
         matrix = gkw_matrix(alpha, 1.0, args.density_grid, DEFAULT_CONFIG)
         lam, density = leading_eigen(matrix)
         path = os.path.join(args.out_dir, "density_%s.csv" % label)
-        density.to_csv(path)
+        with open(path, "w", newline="") as fh:
+            fh.write(density.csv_text())
         print("wrote %s (leading eigenvalue %.12f)" % (path, lam))
 
 

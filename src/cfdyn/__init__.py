@@ -50,22 +50,18 @@ from cfdyn.maps import (
     orbit,
     t_alpha_step,
 )
-from cfdyn.series import SeriesValue, fibonacci, hurwitz_sum, pell, power_tail
+from cfdyn.series import SeriesValue, fibonacci, hurwitz_sum, power_tail
 from cfdyn.transfer import (
     DEFAULT_CONFIG,
     HALF_MINUS,
     HALF_PLUS,
-    Branch,
-    BranchFamily,
     FunctionOracle,
     GridDensity,
     TransferConfig,
     apply_transfer,
     closed_form_density,
-    enumerate_branches,
     gkw_matrix,
     hurwitz_image,
-    koopman,
     leading_eigen,
     qmark_pushforward,
     residual_b,
@@ -84,7 +80,6 @@ from cfdyn.lyapunov import (
     monte_carlo_lyapunov,
 )
 from cfdyn.zeta import (
-    ZetaParams,
     fib_functional_eq_residual,
     fib_hurwitz,
     fib_zeta,

@@ -77,25 +77,6 @@ class MobiusMap:
             return None
         return Fraction(-self.d, self.c)
 
-    def derivative(self, y):
-        if isinstance(y, int):
-            y = Fraction(y)
-        den = self.c * y + self.d
-        if den == 0:
-            raise PoleError(self.pole())
-        return self.det / den ** 2
-
-    def weight(self, y, s):
-        """|c*y + d| ** (-2s), the transfer-operator weight of this branch.
-
-        Exact (a Fraction) when y is rational and s is an integer."""
-        if isinstance(y, int):
-            y = Fraction(y)
-        t = abs(self.c * y + self.d)
-        if t == 0:
-            raise PoleError(self.pole())
-        return t ** (-2 * s)
-
     def compose(self, other: "MobiusMap") -> "MobiusMap":
         """self after other: (self @ other)(y) == self(other(y))."""
         return MobiusMap(
@@ -106,10 +87,6 @@ class MobiusMap:
         )
 
     __matmul__ = compose
-
-    def inverse(self) -> "MobiusMap":
-        # projectively correct for both determinant signs
-        return MobiusMap(self.d, -self.b, -self.c, self.a)
 
 
 IDENTITY = MobiusMap(1, 0, 0, 1)

@@ -29,7 +29,7 @@ from .maps import FIBONACCI_ALPHA, jimm, orbit, t_alpha_step
 from .lyapunov import monte_carlo_lyapunov
 from .transfer import (closed_form_density, gkw_matrix, leading_eigen,
                        qmark_pushforward)
-from .verify import SUITES, all_passed
+from .verify import DENSITY_PAIRS, SUITES, all_passed
 from .zeta import zeta_alpha
 
 EXIT_OK = 0
@@ -120,13 +120,17 @@ def _heatmap_column(task) -> list:
 def heatmap_values(n: int, k: int, variant: str = "minus",
                    jobs: int = 1) -> np.ndarray:
     """T^k values on the n-by-n midpoint grid; entry [i, j] is the value
-    at alpha = (2i+1)/2n, x = (2j+1)/2n, both exact dyadic expansions."""
+    at alpha = (2i+1)/2n, x = (2j+1)/2n, both exact dyadic expansions.
+    Columns run in at most min(jobs, CPU count) worker processes."""
     if n < 16:
         raise DomainError("grid size must be >= 16")
     if k < 1:
         raise DomainError("iterate count must be >= 1")
     if variant not in ("minus", "plus"):
         raise DomainError(f"unknown variant {variant!r}")
+    if jobs < 1:
+        raise DomainError("need at least one job")
+    jobs = min(jobs, os.cpu_count() or 1)
     tasks = [(n, k, variant, i) for i in range(n)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -217,7 +221,7 @@ def cmd_heatmap(args) -> int:
     if args.out is None:
         raise DomainError("heatmap needs --out")
     base = args.out[:-4] if args.out.endswith(".pgm") else args.out
-    jobs = args.jobs if args.jobs else (4 if args.grid >= 128 else 1)
+    jobs = args.jobs if args.jobs is not None else (4 if args.grid >= 128 else 1)
     values = heatmap_values(args.grid, args.iter, args.variant, jobs=jobs)
     _atomic_bytes(base + ".pgm", heatmap_pgm(values))
     _atomic_text(base + ".csv", heatmap_csv(values, args.grid))
@@ -244,11 +248,7 @@ def cmd_spectrum(args) -> int:
         sup = float(np.max(np.abs(mine - scale * ref)))
         print(f"sup-distance {sup!r} against the {label} closed form")
     if args.out:
-        buf = io.StringIO()
-        buf.write("y,value\r\n")
-        for y, v in zip(dens.nodes, dens.values):
-            buf.write(f"{y:.17g},{v:.17g}\r\n")
-        _atomic_text(args.out, buf.getvalue())
+        _atomic_text(args.out, dens.csv_text())
         print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -256,21 +256,10 @@ def cmd_spectrum(args) -> int:
 def _matching_density(alpha: ContinuedFraction, s: float):
     if s != 1.0:
         return None
-    table = {
-        ZERO: ("classical", lambda: closed_form_density("gauss")),
-        cf_from_rational(Fraction(1)): ("parameter-one",
-                                        lambda: closed_form_density("alpha_one")),
-        FIBONACCI_ALPHA: ("golden", lambda: closed_form_density("fibonacci")),
-        ContinuedFraction((), (2,)): ("series-k2",
-                                      lambda: closed_form_density("k_series", K=2)),
-        ContinuedFraction((), (3,)): ("series-k3",
-                                      lambda: closed_form_density("k_series", K=3)),
-    }
-    hit = table.get(alpha)
-    if hit is None:
-        return None
-    label, maker = hit
-    return label, maker()
+    for label, known, which, k in DENSITY_PAIRS:
+        if alpha == known:
+            return label, closed_form_density(which, K=k)
+    return None
 
 
 def cmd_verify(args) -> int:
@@ -298,7 +287,7 @@ def cmd_lyapunov(args) -> int:
     if steps is None:
         # the golden-parameter member mixes slowly; double the default
         steps = 4000 if alpha == FIBONACCI_ALPHA else 2000
-    bits = args.bits if args.bits else 4 * steps
+    bits = 4 * steps if args.bits is None else args.bits
     est = monte_carlo_lyapunov(alpha, args.samples, steps, bits=bits,
                                seed=args.seed, method=args.method)
     payload = {
@@ -378,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("jimm", help="apply the digit-rewrite involution")
     p.add_argument("--x", required=True)
-    p.add_argument("--depth", type=int, default=None, help=argparse.SUPPRESS)
     p.set_defaults(fn=cmd_jimm)
 
     p = sub.add_parser("qmark", help="singular-law values and pushforwards")

@@ -1,10 +1,9 @@
-"""Shared numeric helpers: exact Fibonacci/Pell tables, Euler-Maclaurin
+"""Shared numeric helpers: an exact Fibonacci table, Euler-Maclaurin
 tails for power sums, and the (value, tail) pair that every series
 evaluator in this package returns."""
 
 from __future__ import annotations
 
-import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -21,31 +20,16 @@ class SeriesValue(NamedTuple):
     tail: float
 
 
-_table_lock = threading.Lock()
 _FIB = [1, 0]   # F_{-1}, F_0
-_PELL = [1, 0]  # P_{-1}, P_0
 
 
 def fibonacci(k: int) -> int:
     """F_k with the convention F_{-1} = 1, F_0 = 0."""
     if k < -1:
         raise DomainError("Fibonacci index must be >= -1")
-    if len(_FIB) <= k + 1:
-        with _table_lock:
-            while len(_FIB) <= k + 1:
-                _FIB.append(_FIB[-1] + _FIB[-2])
+    while len(_FIB) <= k + 1:
+        _FIB.append(_FIB[-1] + _FIB[-2])
     return _FIB[k + 1]
-
-
-def pell(k: int) -> int:
-    """P_k with P_{-1} = 1, P_0 = 0 (so P_1 = 1, P_2 = 2, P_3 = 5, ...)."""
-    if k < -1:
-        raise DomainError("Pell index must be >= -1")
-    if len(_PELL) <= k + 1:
-        with _table_lock:
-            while len(_PELL) <= k + 1:
-                _PELL.append(2 * _PELL[-1] + _PELL[-2])
-    return _PELL[k + 1]
 
 
 def power_tail(a: float, b: float, p: float, start: int) -> SeriesValue:

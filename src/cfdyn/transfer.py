@@ -1,17 +1,17 @@
 """Transfer operators attached to the map family.
 
 Every parameter alpha induces a weighted sum over the inverse branches of
-its map; this module enumerates those branches exactly (integer Mobius
-data), applies the operator pointwise with a certified truncation tail,
-discretizes it on a uniform grid for eigenpair extraction, and carries the
-closed-form invariant densities plus residual checkers for the functional
-equations those densities satisfy.
+its map; this module walks those branches level by level (exact integer
+Mobius data), applies the operator pointwise with a certified truncation
+tail, discretizes it on a uniform grid for eigenpair extraction, and
+carries the closed-form invariant densities plus residual checkers for
+the functional equations those densities satisfy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
@@ -24,12 +24,11 @@ from .cf import (
     MobiusMap,
     ONE,
     ZERO,
+    _convergent_rows,
     cf_from_rational,
-    cf_value,
     minkowski_q,
 )
 from .errors import ConvergenceError, DomainError, TruncationExhausted
-from .maps import t_alpha_step
 from .series import SeriesValue, hurwitz_sum, power_tail
 
 LOG2 = math.log(2.0)
@@ -61,7 +60,7 @@ DEFAULT_CONFIG = TransferConfig()
 
 
 # ---------------------------------------------------------------------------
-# branch enumeration
+# the inverse-branch walk
 
 
 @dataclass(frozen=True)
@@ -86,10 +85,6 @@ class _Level:
     def boundary_map(self) -> MobiusMap:
         return MobiusMap(self.pk, self.p, self.qk, self.q)
 
-    @property
-    def interior_count(self) -> float:
-        return self.digit - 1  # inf stays inf
-
 
 @dataclass(frozen=True)
 class _LevelData:
@@ -98,95 +93,41 @@ class _LevelData:
     complete: bool    # expansion ended in an infinite digit (rational)
 
 
-_level_cache: dict = {}
-_level_lock = threading.Lock()
-
-
+@functools.lru_cache(maxsize=256)
 def _levels(alpha: ContinuedFraction, depth_max: int) -> _LevelData:
-    key = (alpha, depth_max)
-    hit = _level_cache.get(key)
-    if hit is not None:
-        return hit
-    with _level_lock:
-        hit = _level_cache.get(key)
-        if hit is not None:
-            return hit
-        levels = []
-        exhausted = False
-        complete = False
-        p, pp = 0, 1
-        q, qq = 1, 0
-        digits = alpha.digits()
-        for k in range(1, depth_max + 1):
-            a = next(digits, None)
-            if a is None:
-                exhausted = True
-                break
-            if a == INF:
-                levels.append(_Level(k, INF, p, pp, q, qq, None, None))
-                complete = True
-                break
-            pk = a * p + pp
-            qk = a * q + qq
-            levels.append(_Level(k, a, p, pp, q, qq, pk, qk))
-            p, pp = pk, p
-            q, qq = qk, q
-        data = _LevelData(tuple(levels), exhausted, complete)
-        if len(_level_cache) > 256:
-            _level_cache.clear()
-        _level_cache[key] = data
-        return data
+    rows = _convergent_rows(alpha.digits(), depth_max)
+    # level k needs the rows of depths k-1 and k; depth 0 is (0, 1; 1, 0)
+    before = [(0, 1, 1, 0)] + rows
+    levels = [_Level(k, (qk - qq) // q, p, pp, q, qq, pk, qk)
+              for k, ((pk, _, qk, _), (p, pp, q, qq))
+              in enumerate(zip(rows, before), start=1)]
+    ended = len(rows) < depth_max
+    complete = ended and alpha.is_rational
+    if complete:
+        levels.append(_Level(len(rows) + 1, INF, *before[-1], None, None))
+    return _LevelData(tuple(levels), ended and not complete, complete)
 
 
-@dataclass(frozen=True)
-class Branch:
-    """One inverse branch: its Mobius map, which side of the digit
-    comparison it comes from, and the comparison depth."""
-
-    map: MobiusMap
-    kind: str               # "interior" or "boundary"
-    depth: int
-    inner: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class BranchFamily:
-    """Lazily enumerable branch list for one parameter, ordered by depth.
-
-    Iteration yields interior branches (index i) before the depth's
-    boundary branch, stops once a depth's largest possible weight falls
-    below ``cfg.tail_tol``, and raises TruncationExhausted afterwards if a
-    truncated parameter ended before that point."""
-
-    alpha: ContinuedFraction
-    cfg: TransferConfig = DEFAULT_CONFIG
-
-    def __iter__(self) -> Iterator[Branch]:
-        data = _levels(self.alpha, self.cfg.depth_max)
-        for lv in data.levels:
-            # largest weight at this depth is the boundary branch's
-            # 1/q_{k-1}^2 (constant bottom-row term); past tolerance, stop.
-            if lv.q ** -2 < self.cfg.tail_tol:
-                return
-            count = lv.interior_count
-            cap = self.cfg.inner_max if count == INF else min(int(count), self.cfg.inner_max)
-            for i in range(1, cap + 1):
-                yield Branch(lv.interior_map(i), "interior", lv.depth, i)
-            if lv.digit != INF:
-                yield Branch(lv.boundary_map(), "boundary", lv.depth)
-        if data.exhausted:
-            raise TruncationExhausted(
-                "parameter expansion has too few settled digits for the requested depth")
-
-    @property
-    def branches(self) -> Iterator[Branch]:
-        return iter(self)
+def _walk(levels, inner_max: int) -> Iterator[tuple]:
+    """(level, m, lumped) in depth order.  A level's branches are its
+    interior family members 1..m, summed one by one, then its boundary
+    branch when the digit is finite; ``lumped`` says the family goes on
+    past m.  Callers break out of the walk by their own stop rules."""
+    for lv in levels:
+        count = lv.digit - 1  # inf stays inf
+        m = min(count, inner_max)
+        yield lv, m, count > m
 
 
-def enumerate_branches(alpha: ContinuedFraction,
-                       cfg: TransferConfig = DEFAULT_CONFIG) -> BranchFamily:
-    """Inverse branches of the map with the given parameter, lazily."""
-    return BranchFamily(alpha, cfg)
+def _dropped_weight(lv: _Level, s: float, y: float, m: int) -> SeriesValue:
+    """Total weight at y of a family's members past index m, up to the
+    family's end when it has one (clipped at 0), with the Euler-Maclaurin
+    tails of the sums involved."""
+    head = power_tail(lv.q, lv.q * y + lv.qq, 2.0 * s, m + 1)
+    if lv.digit == INF:
+        return head
+    cut = power_tail(lv.q, lv.q * y + lv.qq, 2.0 * s, lv.digit)
+    return SeriesValue(max(head.value - cut.value, 0.0), head.tail + cut.tail)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +184,7 @@ def _family_probe_sup(oracle: FunctionOracle, lv: _Level, y: float, m: int) -> f
 
 
 def _family_tail_terms(oracle: FunctionOracle, lv: _Level, y: float,
-                       m: int, count: float, s: float) -> tuple:
+                       m: int, s: float) -> tuple:
     """(correction, bound) for the family members beyond index m.
 
     The dropped images crowd against the family limit p/q, so psi(limit)
@@ -251,12 +192,7 @@ def _family_tail_terms(oracle: FunctionOracle, lv: _Level, y: float,
     psi across that shrinking segment is left in the bound (doubled, to
     cover mild non-monotone variation).  When psi cannot be evaluated at
     the limit the whole dropped mass goes into the bound instead."""
-    head = power_tail(lv.q, lv.q * y + lv.qq, 2.0 * s, m + 1)
-    weight, werr = head.value, head.tail
-    if count != INF:
-        cut = power_tail(lv.q, lv.q * y + lv.qq, 2.0 * s, int(count) + 1)
-        weight = max(weight - cut.value, 0.0)
-        werr += cut.tail
+    weight, werr = _dropped_weight(lv, s, y, m)
     limit = lv.p / lv.q
     try:
         at_limit = float(oracle.fn(limit))
@@ -296,18 +232,16 @@ def apply_transfer(alpha: ContinuedFraction, s: float, psi, y: float,
     tail = 0.0
     sums = []  # per-depth absolute sums, for the geometric depth bound
     stopped_early = False
-    for lv in data.levels:
+    for lv, m, lumped in _walk(data.levels, cfg.inner_max):
         level_sum = 0.0
-        count = lv.interior_count
-        m = cfg.inner_max if count == INF else min(int(count), cfg.inner_max)
         if m >= 1:
             z = y + np.arange(1, m + 1, dtype=float)
             den = lv.q * z + lv.qq
             weights = den ** (-2.0 * s)
             values = _eval_array(oracle, (lv.p * z + lv.pp) / den)
             level_sum += float(np.sum(weights * values))
-        if count > m:
-            correction, bound = _family_tail_terms(oracle, lv, y, m, count, s)
+        if lumped:
+            correction, bound = _family_tail_terms(oracle, lv, y, m, s)
             level_sum += correction
             tail += bound
         if lv.digit != INF:
@@ -336,13 +270,6 @@ def apply_transfer(alpha: ContinuedFraction, s: float, psi, y: float,
     return SeriesValue(total, tail)
 
 
-def koopman(alpha: ContinuedFraction, psi, x: ContinuedFraction) -> float:
-    """Composition with the map: psi evaluated at the image of x."""
-    oracle = _as_oracle(psi)
-    img = t_alpha_step(alpha, x)
-    return float(oracle.fn(cf_value(img)[0]))
-
-
 # ---------------------------------------------------------------------------
 # grid discretization
 
@@ -369,12 +296,10 @@ def gkw_matrix(alpha: ContinuedFraction, s: float, n: int,
         np.add.at(mat, (rows, idx), weights * (1.0 - frac))
         np.add.at(mat, (rows, idx + 1), weights * frac)
 
-    for lv in data.levels:
+    for lv, capped, lumped in _walk(data.levels, cfg.inner_max):
         if lv.q ** (-2.0 * s) < cfg.tail_tol:
             break
-        count = lv.interior_count
-        capped = cfg.inner_max if count == INF else min(int(count), cfg.inner_max)
-        if count == INF:
+        if lv.digit == INF:
             # one row at a time, vectorized over the family index
             i = np.arange(1, capped + 1, dtype=float)
             for j in range(nodes):
@@ -391,16 +316,12 @@ def gkw_matrix(alpha: ContinuedFraction, s: float, n: int,
                 z = ys + i
                 den = lv.q * z + lv.qq
                 scatter_all_rows(den ** (-2.0 * s), (lv.p * z + lv.pp) / den)
-        if count > capped:
+        if lumped:
             # members past the cap sit within O(1/inner_max) of the family
             # limit p/q; lump their total weight there, which keeps the
             # matrix a faithful quadrature instead of silently losing mass
-            dropped = np.array([power_tail(lv.q, lv.q * yj + lv.qq, 2.0 * s,
-                                           capped + 1).value for yj in ys])
-            if count != INF:
-                dropped -= np.array([power_tail(lv.q, lv.q * yj + lv.qq, 2.0 * s,
-                                                int(count) + 1).value for yj in ys])
-                dropped = np.maximum(dropped, 0.0)
+            dropped = np.array([_dropped_weight(lv, s, yj, capped).value
+                                for yj in ys])
             scatter_all_rows(dropped, np.full(nodes, lv.p / lv.q))
         if lv.digit != INF:
             den = lv.qk * ys + lv.q
@@ -432,14 +353,12 @@ class GridDensity:
     def oracle(self) -> FunctionOracle:
         return FunctionOracle(self.__call__, vectorized=True, label="grid")
 
-    def to_csv(self, path) -> None:
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["y", "value"])
-            for y, v in zip(self.nodes, self.values):
-                writer.writerow([f"{y:.17g}", f"{v:.17g}"])
+    def csv_text(self) -> str:
+        """CSV of the samples: a "y,value" header, then one CRLF-ended row
+        per node with both numbers at full float precision."""
+        rows = ["y,value"] + [f"{y:.17g},{v:.17g}"
+                              for y, v in zip(self.nodes, self.values)]
+        return "\r\n".join(rows) + "\r\n"
 
 
 def leading_eigen(m: np.ndarray, tol: float = 1e-12,
@@ -660,13 +579,11 @@ def qmark_pushforward(alpha: ContinuedFraction, y,
     def qmark_of(fr: Fraction) -> Fraction:
         return minkowski_q(cf_from_rational(fr))
 
-    inner_cap = min(cfg.inner_max, 64)
     value = Fraction(0)
     covered = Fraction(0)
     done = False
-    for lv in data.levels[:64]:
-        count = lv.interior_count
-        cap = inner_cap if count == INF else min(int(count), inner_cap)
+    # exactness budget: 64 levels and 64 members per family
+    for lv, cap, _ in _walk(data.levels[:64], min(cfg.inner_max, 64)):
         members = [lv.interior_map(i) for i in range(1, cap + 1)]
         if lv.digit != INF:
             members.append(lv.boundary_map())

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 from .cf import ContinuedFraction
 from .errors import ConvergenceError, DomainError
@@ -19,28 +17,6 @@ from .series import SeriesValue, fibonacci, hurwitz_sum
 from .transfer import DEFAULT_CONFIG, FunctionOracle, TransferConfig, apply_transfer
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
-
-
-@dataclass(frozen=True)
-class ZetaParams:
-    """Validated parameter bundle for the branch-sum zeta."""
-
-    s: float
-    t: float = 0.0
-    y: float = 1.0
-    truncation: int = 400
-    alpha: Optional[ContinuedFraction] = None
-
-    def __post_init__(self):
-        if not self.y > 0:
-            raise DomainError("y must be positive")
-        if self.truncation < 1:
-            raise DomainError("truncation must be >= 1")
-
-    @property
-    def branch_summable(self) -> bool:
-        # harmonic-type branch families need 2s+t > 1
-        return 2.0 * self.s + self.t > 1.0
 
 
 def hurwitz_zeta(z: float, a: float, n_terms: int = 100_000) -> SeriesValue:

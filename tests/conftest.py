@@ -4,7 +4,8 @@ import hypothesis
 import pytest
 
 hypothesis.settings.register_profile("fast", max_examples=10, deadline=None)
-hypothesis.settings.register_profile("ci", max_examples=60, deadline=None)
+hypothesis.settings.register_profile("ci", max_examples=60, deadline=None,
+                                    derandomize=True)
 hypothesis.settings.register_profile("thorough", max_examples=400, deadline=None)
 hypothesis.settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "ci"))
 

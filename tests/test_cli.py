@@ -152,6 +152,12 @@ class TestLyapunovCommand:
                          "--steps", "100", "--bits", "10"])
         assert code == 2
 
+    def test_zero_bits_rejected_not_defaulted(self, capsys):
+        code = cli.main(["lyapunov", "--alpha", "0", "--samples", "2",
+                         "--steps", "100", "--bits", "0"])
+        assert code == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestVerifyCommand:
     def test_single_suite_report(self, capsys, tmp_path):
@@ -197,6 +203,38 @@ class TestHeatmap:
         assert code == 0
         assert (tmp_path / "img.pgm").exists()
         assert (tmp_path / "img.csv").exists()
+
+    def test_jobs_below_one_rejected(self, tmp_path):
+        with pytest.raises(DomainError):
+            cli.heatmap_values(16, 1, jobs=0)
+        code = cli.main(["heatmap", "--grid", "16", "--iter", "1",
+                         "--jobs", "0", "--out", str(tmp_path / "x.pgm")])
+        assert code == 2
+        assert not (tmp_path / "x.pgm").exists()
+
+    def test_workers_capped_at_cpu_count(self, monkeypatch):
+        # a stand-in pool records the worker count and maps serially, so
+        # no process is started whatever --jobs asks for
+        asked = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        vals = cli.heatmap_values(16, 1, jobs=10 ** 9)
+        assert asked == [3]
+        assert np.array_equal(vals, cli.heatmap_values(16, 1, jobs=1))
 
     def test_small_grid_rejected(self, tmp_path):
         code = cli.main(["heatmap", "--grid", "8", "--iter", "1",

@@ -9,7 +9,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from cfdyn.cf import (
     ONE,
@@ -46,8 +46,13 @@ periodics = st.builds(
 )
 
 
-def gauss_map(fr: Fraction) -> Fraction:
+def gauss_map(fr: Fraction, variant: str = "minus") -> Fraction:
+    """1/x - floor(1/x), except at x = 1/a written in its plus form
+    [0;a-1,1]: that expansion is the point just right of 1/a, whose image
+    is the right-hand limit 1 rather than 0."""
     inv = 1 / fr
+    if variant == "plus" and inv.denominator == 1 and inv > 1:
+        return Fraction(1)
     return inv - math.floor(inv)
 
 
@@ -59,12 +64,13 @@ class TestGaussMember:
         assert t_alpha_step(GAUSS_ALPHA, ONE) == ZERO
 
     @given(fractions_01, variants)
+    @example(Fraction(1, 2), "plus")
     def test_matches_classical_formula(self, fr, variant):
         if fr == 0:
             return
         x = cf_from_rational(fr, variant=variant)
         image = t_alpha_step(GAUSS_ALPHA, x)
-        assert cf_to_rational(image) == gauss_map(fr)
+        assert cf_to_rational(image) == gauss_map(fr, variant)
 
     @given(periodics)
     def test_periodic_is_digit_shift(self, x):

@@ -14,7 +14,6 @@ from cfdyn.cf import (
     ZERO,
     cf_from_rational,
     cf_to_rational,
-    cf_value,
     minkowski_q,
 )
 from cfdyn.errors import ConvergenceError, DomainError, TruncationExhausted
@@ -46,30 +45,48 @@ class TestConfig:
             tr.TransferConfig(**kw)
 
 
+def walk_branches(alpha, cfg):
+    """(kind, depth, map) rows of the shared inverse-branch walk, each
+    level's interior members before its boundary branch, up to the walk's
+    end: the branch order apply_transfer and qmark_pushforward sum in."""
+    rows = []
+    for lv, m, _ in tr._walk(tr._levels(alpha, cfg.depth_max).levels,
+                             cfg.inner_max):
+        rows += [("interior", lv.depth, lv.interior_map(i))
+                 for i in range(1, m + 1)]
+        if lv.digit != math.inf:
+            rows.append(("boundary", lv.depth, lv.boundary_map()))
+    return rows
+
+
+def matrix_rows(alpha, cfg):
+    return [(kind, depth, (b.a, b.b, b.c, b.d))
+            for kind, depth, b in walk_branches(alpha, cfg)]
+
+
 class TestBranches:
     def test_gauss_is_one_infinite_family(self):
-        rows = [(b.kind, b.depth, (b.map.a, b.map.b, b.map.c, b.map.d))
-                for b in tr.enumerate_branches(ZERO, small_cfg(inner=5))]
-        assert rows == [("interior", 1, (0, 1, 1, i)) for i in range(1, 6)]
+        assert matrix_rows(ZERO, small_cfg(inner=5)) == [
+            ("interior", 1, (0, 1, 1, i)) for i in range(1, 6)]
+        (lv, m, lumped), = tr._walk(tr._levels(ZERO, 8).levels, 5)
+        assert (lv.digit, m, lumped) == (math.inf, 5, True)
 
     def test_alpha_one_boundary_then_family(self):
-        rows = [(b.kind, (b.map.a, b.map.b, b.map.c, b.map.d))
-                for b in tr.enumerate_branches(ONE, small_cfg(inner=3))]
+        rows = [(kind, mat)
+                for kind, _, mat in matrix_rows(ONE, small_cfg(inner=3))]
         assert rows[0] == ("boundary", (1, 0, 1, 1))
         assert rows[1:] == [("interior", (1, i, 1, i + 1)) for i in (1, 2, 3)]
 
     def test_golden_is_all_boundaries(self):
-        fam = tr.enumerate_branches(GOLDEN, small_cfg(depth=5))
-        rows = [(b.kind, (b.map.a, b.map.b, b.map.c, b.map.d)) for b in fam]
+        rows = [(kind, mat)
+                for kind, _, mat in matrix_rows(GOLDEN, small_cfg(depth=5))]
         fib = [1, 1, 2, 3, 5, 8]  # F_1..F_6
         want = [("boundary", (fib[k], fib[k - 1] if k else 0, fib[k + 1], fib[k]))
                 for k in range(5)]
         assert rows == want
 
     def test_pell_rows(self):
-        fam = tr.enumerate_branches(PELL, small_cfg(depth=3))
-        rows = [(b.kind, b.depth, (b.map.a, b.map.b, b.map.c, b.map.d)) for b in fam]
-        assert rows == [
+        assert matrix_rows(PELL, small_cfg(depth=3)) == [
             ("interior", 1, (0, 1, 1, 1)), ("boundary", 1, (1, 0, 2, 1)),
             ("interior", 2, (1, 1, 2, 3)), ("boundary", 2, (2, 1, 5, 2)),
             ("interior", 3, (2, 3, 5, 7)), ("boundary", 3, (5, 2, 12, 5)),
@@ -79,39 +96,50 @@ class TestBranches:
         # applying the forward map to any branch image must return y
         y = Fraction(3, 10)
         for alpha in (ZERO, ONE, GOLDEN, PELL, tr.HALF_MINUS, tr.HALF_PLUS):
-            for b in tr.enumerate_branches(alpha, small_cfg(depth=4, inner=4)):
-                x = cf_from_rational(b.map.apply(y))
+            for _, _, b in walk_branches(alpha, small_cfg(depth=4, inner=4)):
+                x = cf_from_rational(b.apply(y))
                 assert cf_to_rational(t_alpha_step(alpha, x)) == y
 
     def test_rational_parameter_is_one_family_past_its_depth(self):
         # [0;2] = one interior + one boundary at depth 1, then a single
         # infinite interior family at depth 2 and nothing deeper
-        branches = list(tr.enumerate_branches(tr.HALF_MINUS, small_cfg(inner=25)))
-        assert sum(b.kind == "boundary" for b in branches) == 1
-        assert max(b.depth for b in branches) == 2
-        assert sum(b.depth == 2 for b in branches) == 25
+        branches = walk_branches(tr.HALF_MINUS, small_cfg(inner=25))
+        assert sum(kind == "boundary" for kind, _, _ in branches) == 1
+        assert max(depth for _, depth, _ in branches) == 2
+        assert sum(depth == 2 for _, depth, _ in branches) == 25
+        data = tr._levels(tr.HALF_MINUS, 8)
+        assert data.complete and not data.exhausted
+        lumped = [lumped for _, _, lumped in tr._walk(data.levels, 25)]
+        assert lumped == [False, True]
 
     def test_truncated_parameter_raises_after_yielding(self):
+        # the walk covers the three settled levels, one interior and one
+        # boundary branch each, and the data reports the missing digits;
+        # the operators then raise rather than return a short sum
         stub = ContinuedFraction((2, 2, 2), exact=False)
-        seen = []
+        assert len(walk_branches(stub, small_cfg())) == 6
+        assert tr._levels(stub, 8).exhausted
         with pytest.raises(TruncationExhausted):
-            for b in tr.enumerate_branches(stub, small_cfg()):
-                seen.append(b)
-        assert len(seen) == 6  # three levels, one interior + one boundary each
+            tr.apply_transfer(stub, 1.0, lambda u: 1.0, 0.5, small_cfg())
+        with pytest.raises(TruncationExhausted):
+            tr.qmark_pushforward(stub, Fraction(1, 2), small_cfg())
 
     def test_truncated_parameter_ok_when_weight_stopped(self):
+        # the last settled level's weight 1/q^2 = 1/25 is below the
+        # tolerance, so the missing digits cannot matter
         stub = ContinuedFraction((2, 2, 2), exact=False)
         cfg = tr.TransferConfig(depth_max=8, inner_max=8, tail_tol=0.1)
-        assert len(list(tr.enumerate_branches(stub, cfg))) == 4
+        got = tr.apply_transfer(stub, 1.0, lambda u: 1.0, 0.5, cfg)
+        assert math.isfinite(got.value) and math.isfinite(got.tail)
 
     def test_image_intervals_disjoint_and_tiling(self):
         # branch images of (0,1) must not overlap, and their total length
         # must grow toward 1 as the budget grows
         def covered(alpha, depth, inner):
             ivals = []
-            for b in tr.enumerate_branches(alpha, small_cfg(depth, inner)):
-                lo = Fraction(b.map.b, b.map.d)
-                hi = Fraction(b.map.a + b.map.b, b.map.c + b.map.d)
+            for _, _, b in walk_branches(alpha, small_cfg(depth, inner)):
+                lo = Fraction(b.b, b.d)
+                hi = Fraction(b.a + b.b, b.c + b.d)
                 ivals.append((min(lo, hi), max(lo, hi)))
             ivals.sort()
             for (a0, b0), (a1, b1) in zip(ivals, ivals[1:]):
@@ -181,20 +209,6 @@ class TestApply:
         rhs = (a * tr.apply_transfer(ZERO, 1.0, f, 0.4, cfg).value
                + b * tr.apply_transfer(ZERO, 1.0, g, 0.4, cfg).value)
         assert lhs.value == pytest.approx(rhs, abs=1e-10)
-
-
-class TestKoopman:
-    def test_composes_with_the_map(self):
-        x = cf_from_rational(Fraction(7, 24))
-        psi = lambda u: 3.0 * u + 1.0
-        img = t_alpha_step(ZERO, x)
-        assert tr.koopman(ZERO, psi, x) == pytest.approx(
-            3.0 * cf_value(img)[0] + 1.0)
-
-    def test_golden_parameter(self):
-        x = cf_from_rational(Fraction(5, 8))
-        val = tr.koopman(GOLDEN, lambda u: u, x)
-        assert val == pytest.approx(cf_value(t_alpha_step(GOLDEN, x))[0])
 
 
 class TestMatrix:
@@ -280,14 +294,14 @@ class TestGridDensity:
         d = tr.GridDensity(4, np.array([0.0, 1.0, 2.0, 3.0, 4.0]))
         assert d(0.125) == pytest.approx(0.5)
 
-    def test_csv_roundtrip(self, tmp_path):
+    def test_csv_roundtrip(self):
         d = tr.GridDensity(4, np.linspace(1.0, 2.0, 5))
-        path = tmp_path / "dens.csv"
-        d.to_csv(path)
-        rows = path.read_text().strip().splitlines()
+        text = d.csv_text()
+        assert text.endswith("\r\n")
+        rows = text.split("\r\n")[:-1]
         assert rows[0] == "y,value"
         assert len(rows) == 6
-        assert float(rows[1].split(",")[1]) == 1.0
+        assert [float(r.split(",")[1]) for r in rows[1:]] == list(d.values)
 
 
 class TestDensities:

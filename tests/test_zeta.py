@@ -133,18 +133,3 @@ class TestFunctionalEquation:
     def test_rejects_bad_x(self):
         with pytest.raises(DomainError):
             zt.fib_functional_eq_residual(1.0, 0.0, 0.0)
-
-
-class TestParams:
-    def test_accepts_reasonable(self):
-        p = zt.ZetaParams(s=1.0, t=0.0, y=0.5, truncation=100, alpha=ZERO)
-        assert p.branch_summable
-
-    def test_flags_divergent_combination(self):
-        assert not zt.ZetaParams(s=0.4, t=0.0).branch_summable
-
-    def test_rejects_bad_fields(self):
-        with pytest.raises(DomainError):
-            zt.ZetaParams(s=1.0, y=0.0)
-        with pytest.raises(DomainError):
-            zt.ZetaParams(s=1.0, truncation=0)
