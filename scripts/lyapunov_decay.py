@@ -20,7 +20,7 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--samples", type=int, default=25)
     ap.add_argument("--steps", type=int, nargs="+",
-                    default=[250, 500, 1000, 2000, 4000])
+                    default=[250, 500, 1000, 2000, 4000, 8000, 16000])
     ap.add_argument("--seed", type=int, default=7)
     args = ap.parse_args()
 

@@ -400,6 +400,22 @@ def _convergent_rows(digit_iter, depth: int):
     return rows
 
 
+def _last_convergent(digit_iter, depth: int) -> tuple[int, int, int, int]:
+    """(count, p, q, q_prev) for the last of the first `depth` convergents,
+    with the stopping rule of _convergent_rows; (0, 0, 1, 0) when the
+    stream yields no digit."""
+    pm1, qm1 = 1, 0
+    p, q = 0, 1
+    count = 0
+    for a in islice(digit_iter, depth):
+        if not isinstance(a, int):  # INF tail of a rational
+            break
+        p, pm1 = a * p + pm1, p
+        q, qm1 = a * q + qm1, q
+        count += 1
+    return count, p, q, qm1
+
+
 def convergents(x: ContinuedFraction, depth: int = 40) -> list[MobiusMap]:
     """Convergent matrices M_k = (p_k, p_{k-1}; q_k, q_{k-1}) for k >= 1.
 
@@ -413,16 +429,15 @@ def convergents(x: ContinuedFraction, depth: int = 40) -> list[MobiusMap]:
 
 
 def cf_value(x: ContinuedFraction, depth: int = 40) -> tuple[float, float]:
-    """Float value with a certified absolute error bound."""
-    rows = _convergent_rows(x.digits(), depth)
-    if not rows:
-        return (0.0, 0.0) if x.is_rational else (0.0, 1.0)
-    p, pm1, q, qm1 = rows[-1]
-    value = p / q
-    if x.is_rational and len(rows) == len(x.head):
-        return value, 0.0
+    """Float value, from at most `depth` leading digits, with a certified
+    absolute error bound."""
+    if depth < 1:
+        raise DomainError("depth must be >= 1")
+    count, p, q, qm1 = _last_convergent(x.digits(), depth)
+    if x.is_rational and count == len(x.head):
+        return p / q, 0.0
     # the tail keeps the number inside the cylinder of the consumed digits
-    return value, 1 / (q * (q + qm1))
+    return p / q, 1 / (q * (q + qm1))
 
 
 def periodic_value(x: ContinuedFraction) -> QuadraticSurd:

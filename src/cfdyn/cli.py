@@ -169,9 +169,9 @@ def heatmap_csv(values: np.ndarray, n: int) -> str:
 
 def cmd_cf(args) -> int:
     x = parse_point(args.x)
-    v, err = cf_value(x, depth=args.depth or 40)
+    v, err = cf_value(x, depth=40 if args.depth is None else args.depth)
     print(f"{point_text(x)} {v!r}")
-    if args.depth:
+    if args.depth is not None:
         for idx, m in enumerate(convergents(x, args.depth), start=1):
             print(f"{idx} {m.a}/{m.c} {m.a / m.c!r}")
     return EXIT_OK

@@ -24,7 +24,7 @@ from .errors import (
     PrecisionBudgetError,
     TruncationExhausted,
 )
-from .maps import GAUSS_ALPHA, orbit
+from .maps import GAUSS_ALPHA, _orbit_runs
 
 BITS_PER_STEP = 4  # digit entropy is ~1.7 bits/step a.e.; doubled for slack
 
@@ -56,17 +56,24 @@ def lyapunov_orbit(alpha: ContinuedFraction, x: ContinuedFraction,
     """Average log|T'| along the orbit of x, up to n steps.
 
     Orbits of rationals eventually land on 0, where the map is stopped;
-    the partial average and a termination flag are returned for those."""
+    the partial average and a termination flag are returned for those.
+    No state is kept: memory stays O(digits of x) whatever n is."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    rec = orbit(alpha, x, n)
-    if rec.exhausted:
+    total = 0.0
+    steps = 0
+    terminated = False
+    try:
+        for cur, m, dlog in _orbit_runs(alpha, x, n):
+            total += dlog
+            steps += m
+            terminated = m == 0 or cur.is_zero()
+    except TruncationExhausted:
         raise TruncationExhausted(
-            "orbit ran out of settled digits before finishing")
-    if rec.deriv_steps == 0:
+            "orbit ran out of settled digits before finishing") from None
+    if steps == 0:
         raise DerivativeUndefined("no derivative-carrying step was taken")
-    return OrbitAverage(rec.log_deriv_sum / rec.deriv_steps,
-                        rec.deriv_steps, rec.hit_zero_at is not None)
+    return OrbitAverage(total / steps, steps, terminated)
 
 
 def lyapunov_qn(x: ContinuedFraction, n: int) -> float:

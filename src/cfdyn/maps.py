@@ -19,11 +19,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, cycle, islice, repeat
+from typing import Iterator
 
 from cfdyn.cf import (
     INF,
     ZERO,
     ContinuedFraction,
+    _bare,
+    _last_convergent,
     cf_value,
     drop_digits,
     replace_first_digit,
@@ -55,17 +59,21 @@ class StepDecision:
     d: int = 0
 
 
-def _compare_cap(alpha: ContinuedFraction, x: ContinuedFraction) -> int:
-    cap = len(alpha.head) + len(x.head) + 2
-    if alpha.period or x.period:
-        cap += 2 * math.lcm(max(len(alpha.period), 1), max(len(x.period), 1))
+def _compare_cap(alpha: ContinuedFraction, head_len: int, period_len: int) -> int:
+    """Digits to compare before two eventually periodic streams, the
+    parameter's and one with this head and period length, are known to
+    agree everywhere."""
+    cap = len(alpha.head) + head_len + 2
+    if alpha.period or period_len:
+        cap += 2 * math.lcm(max(len(alpha.period), 1), max(period_len, 1))
     return cap
 
 
-def _decide(alpha: ContinuedFraction, x: ContinuedFraction) -> StepDecision:
-    da, dx = alpha.digits(), x.digits()
+def _decide(alpha: ContinuedFraction, dx: Iterator, cap: int) -> StepDecision:
+    """Compare the parameter's digits with the stream dx, at most cap of
+    them; this comparison is the definition of the map."""
+    da = alpha.digits()
     qm1, q = 0, 1  # q_{k-2}, q_{k-1} of the shared prefix, starting at k = 1
-    cap = _compare_cap(alpha, x)
     for k in range(1, cap + 1):
         a = next(da, None)
         b = next(dx, None)
@@ -96,7 +104,8 @@ def _image(d: StepDecision, x: ContinuedFraction) -> ContinuedFraction:
 
 def t_alpha_step(alpha: ContinuedFraction, x: ContinuedFraction) -> ContinuedFraction:
     """One application of the map with the given parameter expansion."""
-    return _image(_decide(alpha, x), x)
+    cap = _compare_cap(alpha, len(x.head), len(x.period))
+    return _image(_decide(alpha, x.digits(), cap), x)
 
 
 def log_deriv_at(alpha: ContinuedFraction, x: ContinuedFraction, depth: int = 45) -> float:
@@ -105,11 +114,115 @@ def log_deriv_at(alpha: ContinuedFraction, x: ContinuedFraction, depth: int = 45
     Defined wherever the digit comparison resolves to a branch; raises
     DerivativeUndefined at 0, at the parameter itself, and at rationals
     whose expansion is a prefix of the parameter's."""
-    d = _decide(alpha, x)
+    d = _decide(alpha, x.digits(), _compare_cap(alpha, len(x.head), len(x.period)))
     if d.case == "zero":
         raise DerivativeUndefined("the comparison never resolves at this point")
     y, _ = cf_value(_image(d, x), depth)
     return 2.0 * math.log(d.c * y + d.d)
+
+
+# ---------------------------------------------------------------------------
+# Orbits
+# ---------------------------------------------------------------------------
+
+
+class _Cursor:
+    """An orbit point that the map edits in place.
+
+    `rev` is the remaining head, last digit first, so a step drops or
+    rewrites only the leading digits it consumes and never copies the
+    expansion; `phase` is where the period stream resumes once the head
+    is used up."""
+
+    __slots__ = ("rev", "period", "phase", "exact")
+
+    def __init__(self, x: ContinuedFraction) -> None:
+        self.rev = list(reversed(x.head))
+        self.period = x.period
+        self.phase = 0
+        self.exact = x.exact
+
+    def digits(self) -> Iterator:
+        """The digit stream, as ContinuedFraction.digits() gives it."""
+        head = reversed(self.rev)
+        if self.period:
+            return chain(head, islice(cycle(self.period), self.phase, None))
+        return chain(head, repeat(INF)) if self.exact else head
+
+    def drop(self, j: int) -> None:
+        extra = j - len(self.rev)
+        if extra > 0:  # only a periodic stream has digits past the head
+            self.rev.clear()
+            self.phase = (self.phase + extra) % len(self.period)
+        elif j:
+            del self.rev[-j:]
+
+    def set_first(self, digit: int) -> None:
+        if self.rev:
+            self.rev[-1] = digit
+        else:  # the first digit comes from the period and joins the head
+            self.rev.append(digit)
+            self.phase = (self.phase + 1) % len(self.period)
+
+    def value(self) -> float:
+        """cf_value(self.state())[0], without building the state."""
+        _, p, q, _ = _last_convergent(self.digits(), 40)
+        return p / q
+
+    def is_zero(self) -> bool:
+        return self.exact and not self.rev and not self.period
+
+    def state(self, lift: int = 0) -> ContinuedFraction:
+        """The point as a ContinuedFraction, its first digit raised by
+        lift."""
+        head = list(reversed(self.rev))
+        if lift:
+            head[0] += lift
+        if self.period:
+            # the constructor re-applies the canonical pull-left rule
+            return ContinuedFraction(
+                head, self.period[self.phase:] + self.period[:self.phase])
+        return _bare(tuple(head), (), self.exact)
+
+
+def _orbit_runs(alpha: ContinuedFraction, x: ContinuedFraction,
+                n: int) -> Iterator[tuple[_Cursor, int, float]]:
+    """Iterate the map from x for up to n steps on one cursor.
+
+    Yields (cursor, m, log-derivative sum) after each run of m steps.  A
+    run is one step, or a whole stretch of depth-1 reduce steps: with
+    first digit b above the parameter's first digit a, the next
+    (b-1)//a steps each subtract a from the first digit and have
+    derivative a*y + 1 at their image y = 1/(b - j*a + t), t the tail's
+    value, so the m steps telescope to (b+t)/(b-m*a+t) = 1 + m*a*y_m.
+    When the comparison never resolves, the point goes to 0 with no
+    derivative: (cursor, 0, 0.0) is yielded and the walk ends; it also
+    ends once the cursor is 0.  TruncationExhausted propagates when a
+    truncated point runs out of settled digits."""
+    cur = _Cursor(x)
+    steps = 0
+    while steps < n:
+        d = _decide(alpha, cur.digits(),
+                    _compare_cap(alpha, len(cur.rev), len(cur.period)))
+        if d.case == "zero":
+            yield cur, 0, 0.0
+            return
+        if d.case == "reduce" and d.k == 1:
+            m = min((d.digit_x - 1) // d.digit_alpha, n - steps)
+            cur.set_first(d.digit_x - m * d.digit_alpha)
+            dlog = 2.0 * math.log1p(m * d.digit_alpha * cur.value())
+        else:
+            if d.case == "strip":
+                cur.drop(d.k)
+            else:
+                cur.drop(d.k - 1)
+                cur.set_first(d.digit_x - d.digit_alpha)
+            m = 1
+            dlog = 2.0 * math.log(d.c * cur.value() + d.d)
+        steps += m
+        yield cur, m, dlog
+        if cur.is_zero():
+            return
 
 
 @dataclass
@@ -127,7 +240,8 @@ class OrbitRecord:
 
 
 def orbit(alpha: ContinuedFraction, x: ContinuedFraction, n: int) -> OrbitRecord:
-    """Iterate the map up to n times, accumulating log-derivatives.
+    """Iterate the map up to n times, keeping every state, its float
+    value and the sum of log-derivatives.
 
     Stops early at 0 (which is fixed, with no derivative available
     there) or when a truncated argument runs out of settled digits."""
@@ -139,27 +253,27 @@ def orbit(alpha: ContinuedFraction, x: ContinuedFraction, n: int) -> OrbitRecord
     dsteps = 0
     hit = None
     exhausted = False
-    cur = x
-    for step in range(n):
-        try:
-            d = _decide(alpha, cur)
-        except TruncationExhausted:
-            exhausted = True
-            break
-        if d.case == "zero":
-            states.append(ZERO)
-            shadow.append(0.0)
-            hit = step
-            break
-        cur = _image(d, cur)
-        y = cf_value(cur)[0]
-        total += 2.0 * math.log(d.c * y + d.d)
-        dsteps += 1
-        states.append(cur)
-        shadow.append(y)
-        if cur == ZERO:
-            hit = step
-            break
+    a = next(alpha.digits(), None)
+    try:
+        for cur, m, dlog in _orbit_runs(alpha, x, n):
+            if m == 0:
+                states.append(ZERO)
+                shadow.append(0.0)
+                hit = dsteps
+                break
+            # m > 1 only for a run of depth-1 reduce steps: its states
+            # differ from the last one in the first digit, by multiples
+            # of the parameter's first digit a
+            for j in range(m - 1, -1, -1):
+                state = cur.state(j * a) if j else cur.state()
+                states.append(state)
+                shadow.append(cf_value(state)[0])
+            total += dlog
+            dsteps += m
+            if cur.is_zero():
+                hit = dsteps - 1
+    except TruncationExhausted:
+        exhausted = True
     return OrbitRecord(states, shadow, total, dsteps, hit, exhausted)
 
 

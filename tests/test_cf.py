@@ -172,6 +172,12 @@ class TestValue:
     def test_zero(self):
         assert cf_value(ZERO) == (0.0, 0.0)
 
+    @pytest.mark.parametrize("depth", [0, -2])
+    def test_rejects_depth_below_one(self, depth):
+        # no digit read is no value: not 0 with a certified error of 0
+        with pytest.raises(DomainError):
+            cf_value(cf_from_rational(2, 7), depth)
+
     def test_golden_ratio(self):
         v, err = cf_value(GOLDEN)
         assert abs(v - (math.sqrt(5) - 1) / 2) <= err + 1e-15

@@ -45,6 +45,19 @@ class TestParsePoint:
             cli.parse_point(bad)
 
 
+class TestCfCommand:
+    def test_value_and_convergents(self, capsys):
+        assert cli.main(["cf", "--x", "2/7", "--depth", "2"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "[0;3,2] 0.2857142857142857", "1 1/3 0.3333333333333333",
+            "2 2/7 0.2857142857142857"]
+
+    @pytest.mark.parametrize("depth", ["0", "-2"])
+    def test_depth_below_one_exit_code(self, depth, capsys):
+        assert cli.main(["cf", "--x", "2/7", "--depth", depth]) == 2
+        assert "depth" in capsys.readouterr().err
+
+
 class TestMapEval:
     def test_classical_shift(self, capsys):
         assert cli.main(["map-eval", "--alpha", "0", "--x", "2/5"]) == 0

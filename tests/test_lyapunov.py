@@ -1,16 +1,55 @@
 """Tests for the Lyapunov estimators."""
 
 import math
+import random
+import tracemalloc
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from cfdyn.cf import ContinuedFraction, cf_from_rational
-from cfdyn.errors import DomainError, PrecisionBudgetError, TruncationExhausted
-from cfdyn.maps import FIBONACCI_ALPHA, GAUSS_ALPHA, fibonacci_fixed_point
+from cfdyn.cf import ZERO, ContinuedFraction, cf_from_rational
+from cfdyn.errors import (
+    DerivativeUndefined,
+    DomainError,
+    PrecisionBudgetError,
+    TruncationExhausted,
+)
+from cfdyn.maps import (
+    FIBONACCI_ALPHA,
+    GAUSS_ALPHA,
+    fibonacci_fixed_point,
+    log_deriv_at,
+    t_alpha_step,
+)
 from cfdyn.series import fibonacci
 from cfdyn import lyapunov as ly
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
+CF = ContinuedFraction
+variants = st.sampled_from(["minus", "plus"])
+
+# the parameter's first digit a sets the length of the depth-1 reduce runs
+# that lyapunov_orbit takes in one step; rationals in (1/5, 1] give a = 1..4
+parameters = st.one_of(
+    st.sampled_from([GAUSS_ALPHA, FIBONACCI_ALPHA, CF((), (2,)),
+                     CF((3,), (1, 2))]),
+    st.builds(cf_from_rational,
+              st.fractions(Fraction(1, 5), 1, max_denominator=60)
+              .filter(lambda f: f > Fraction(1, 5)),
+              variant=variants),
+)
+# denominators up to 1000 keep the reference's own rounding (a step of
+# derivative 1 + 1/b loses ~b*1e-16 of its size) far below the tolerance
+starts = st.one_of(
+    st.builds(cf_from_rational, st.fractions(0, 1, max_denominator=1000),
+              variant=variants),
+    st.builds(lambda h, p: CF(tuple(h), tuple(p)),
+              st.lists(st.integers(1, 12), max_size=4),
+              st.lists(st.integers(1, 6), min_size=1, max_size=4)),
+    st.builds(lambda h: CF(tuple(h), exact=False),
+              st.lists(st.integers(1, 40), max_size=12)),
+)
 
 
 def quad_rate(k: int) -> float:
@@ -51,6 +90,67 @@ class TestOrbitAverage:
     def test_rejects_zero_steps(self):
         with pytest.raises(DomainError):
             ly.lyapunov_orbit(GAUSS_ALPHA, ContinuedFraction((), (1,)), 0)
+
+
+def stepwise_average(alpha, x, n):
+    """lyapunov_orbit rebuilt from public single steps, one at a time."""
+    total, steps, cur = 0.0, 0, x
+    terminated = False
+    while steps < n:
+        try:
+            total += log_deriv_at(alpha, cur, depth=40)
+        except DerivativeUndefined:  # the point goes to 0, no derivative
+            terminated = True
+            break
+        cur = t_alpha_step(alpha, cur)
+        steps += 1
+        if cur == ZERO:
+            terminated = True
+            break
+    if steps == 0:
+        raise DerivativeUndefined("no derivative-carrying step was taken")
+    return ly.OrbitAverage(total / steps, steps, terminated)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (DerivativeUndefined, TruncationExhausted) as exc:
+        return type(exc)
+
+
+class TestAgainstStepwiseReference:
+    @given(parameters, starts, st.integers(1, 300))
+    @example(FIBONACCI_ALPHA, cf_from_rational(1, 10), 3)  # run cut by n
+    # (2) against 6: 6 -> 4 -> 2 reduces, then 2 == a, decided by digit 2
+    @example(CF((), (2,)), CF((6, 3)), 300)
+    # (2) against 7: 7 -> 5 -> 3 -> 1 reduces, then 1 < a strips
+    @example(CF((), (2,)), CF((7, 3)), 300)
+    def test_matches_single_steps(self, alpha, x, n):
+        want = outcome(stepwise_average, alpha, x, n)
+        got = outcome(ly.lyapunov_orbit, alpha, x, n)
+        if isinstance(want, type):
+            assert got is want
+            return
+        assert (got.steps, got.terminated) == (want.steps, want.terminated)
+        if alpha == GAUSS_ALPHA:  # no reduce steps: the same floats
+            assert got.value == want.value
+        else:
+            assert abs(got.value - want.value) <= 1e-12 * abs(want.value)
+
+    def test_golden_orbit_memory_is_bounded_by_digits(self):
+        # a 16000-bit start has about 9400 digits; keeping every state of
+        # the orbit, as orbit() does, peaks near 280 MB
+        num = random.Random(1).getrandbits(16000) | 1
+        x = cf_from_rational(Fraction(num, 1 << 16000))
+        tracemalloc.start()
+        try:
+            got = ly.lyapunov_orbit(FIBONACCI_ALPHA, x, 4000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.steps == 4000
+        assert peak < 8 * 2 ** 20
 
 
 class TestDenominatorGrowth:

@@ -213,6 +213,20 @@ class TestOrbit:
         rec = orbit(GAUSS_ALPHA, CF((4, 4), exact=False), 10)
         assert rec.exhausted and rec.steps == 2
 
+    @given(st.sampled_from([GOLDEN, SQRT2M1, CF((3,), (1, 2)), CF((2, 3))]),
+           st.one_of(st.builds(cf_from_rational, fractions_01,
+                               variant=variants), periodics),
+           st.integers(0, 40))
+    # 1/7 under the golden parameter: six depth-1 reduce steps in one run
+    @example(GOLDEN, cf_from_rational(1, 7), 10)
+    def test_states_are_single_steps(self, alpha, x, n):
+        rec = orbit(alpha, x, n)
+        cur = x
+        for state, value in zip(rec.states[1:], rec.shadow[1:]):
+            cur = t_alpha_step(alpha, cur)
+            assert state == cur
+            assert value == cf_value(cur)[0]
+
     def test_shadow_tracks_values(self):
         rec = orbit(GAUSS_ALPHA, cf_from_rational(5, 13), 10)
         assert rec.shadow[0] == pytest.approx(5 / 13)
