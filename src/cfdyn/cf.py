@@ -53,14 +53,8 @@ class MobiusMap:
         if det not in (1, -1):
             raise DomainError(f"Mobius map needs determinant +-1, got {det}")
 
-    @property
-    def det(self) -> int:
-        return self.a * self.d - self.b * self.c
-
     def apply(self, y):
         """Evaluate at y.  Exact for int and Fraction inputs."""
-        if isinstance(y, QuadraticSurd):
-            return y.mobius(self)
         if isinstance(y, int):
             y = Fraction(y)
         num = self.a * y + self.b
@@ -69,29 +63,11 @@ class MobiusMap:
             raise PoleError(self.pole())
         return num / den
 
-    __call__ = apply
-
     def pole(self):
         """The input where the map blows up, or None if there is none."""
         if self.c == 0:
             return None
         return Fraction(-self.d, self.c)
-
-    def compose(self, other: "MobiusMap") -> "MobiusMap":
-        """self after other: (self @ other)(y) == self(other(y))."""
-        return MobiusMap(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    __matmul__ = compose
-
-
-IDENTITY = MobiusMap(1, 0, 0, 1)
-T_SHIFT = MobiusMap(1, 1, 0, 1)
-U_INVERT = MobiusMap(0, 1, 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -156,11 +132,6 @@ class QuadraticSurd:
         object.__setattr__(self, "r", r)
 
     @classmethod
-    def from_fraction(cls, value) -> "QuadraticSurd":
-        fr = Fraction(value)
-        return cls(fr.numerator, 0, 0, fr.denominator)
-
-    @classmethod
     def positive_root(cls, a: int, b: int, c: int) -> "QuadraticSurd":
         """The positive root of a*t**2 + b*t + c = 0."""
         if a == 0:
@@ -200,46 +171,9 @@ class QuadraticSurd:
             raise DomainError("surd is irrational")
         return Fraction(self.p, self.r)
 
-    def conjugate(self) -> "QuadraticSurd":
-        return QuadraticSurd(self.p, -self.q, self.d, self.r)
-
     def square(self) -> "QuadraticSurd":
         p, q, d, r = self.p, self.q, self.d, self.r
         return QuadraticSurd(p * p + q * q * d, 2 * p * q, d, r * r)
-
-    def scale(self, k) -> "QuadraticSurd":
-        k = Fraction(k)
-        return QuadraticSurd(
-            self.p * k.numerator, self.q * k.numerator, self.d,
-            self.r * k.denominator,
-        )
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QuadraticSurd.from_fraction(other)
-        if not isinstance(other, QuadraticSurd):
-            return NotImplemented
-        if self.q and other.q and self.d != other.d:
-            raise DomainError("incompatible radicals")
-        d = self.d if self.q else other.d
-        return QuadraticSurd(
-            self.p * other.r + other.p * self.r,
-            self.q * other.r + other.q * self.r,
-            d,
-            self.r * other.r,
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuadraticSurd(-self.p, -self.q, self.d, self.r)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QuadraticSurd.from_fraction(other)
-        if not isinstance(other, QuadraticSurd):
-            return NotImplemented
-        return self + (-other)
 
     def mobius(self, m: MobiusMap) -> "QuadraticSurd":
         """Exact image under a Mobius map, rationalised."""
@@ -255,11 +189,6 @@ class QuadraticSurd:
             d,
             norm,
         )
-
-    def satisfies_quadratic(self, a: int, b: int, c: int) -> bool:
-        """Exact check of a*x**2 + b*x + c == 0."""
-        total = self.square().scale(a) + self.scale(b) + QuadraticSurd.from_fraction(c)
-        return total.p == 0 and total.q == 0
 
     def __float__(self) -> float:
         return (self.p + self.q * math.sqrt(self.d)) / self.r
@@ -538,6 +467,15 @@ def same_digits(a: ContinuedFraction, b: ContinuedFraction) -> bool:
     raise TruncationExhausted("streams agree on all settled digits")
 
 
+def _decision_horizon(a: ContinuedFraction, head_len: int, period_len: int) -> int:
+    """Digits to compare before two eventually periodic streams, a's and
+    one with this head and period length, are known to agree everywhere."""
+    cap = len(a.head) + head_len + 2
+    if a.period or period_len:
+        cap += 2 * math.lcm(max(len(a.period), 1), max(period_len, 1))
+    return cap
+
+
 def agrees_on_settled(a: ContinuedFraction, b: ContinuedFraction) -> int:
     """Count of leading digits certified equal.
 
@@ -545,9 +483,7 @@ def agrees_on_settled(a: ContinuedFraction, b: ContinuedFraction) -> int:
     certified mismatch.  For two exact streams the count is capped at the
     decision horizon for eventual-periodic equality.
     """
-    cap = len(a.head) + len(b.head) + 2
-    if a.period or b.period:
-        cap += 2 * math.lcm(max(len(a.period), 1), max(len(b.period), 1))
+    cap = _decision_horizon(a, len(b.head), len(b.period))
     da, db = a.digits(), b.digits()
     count = 0
     while count < cap:
@@ -576,14 +512,14 @@ def _complement_rule(head: tuple[int, ...]) -> tuple[int, ...] | None:
     return (1, head[0] - 1) + head[1:]
 
 
-def cf_complement(x: ContinuedFraction, canonical: bool = True) -> ContinuedFraction:
+def cf_complement(x: ContinuedFraction) -> ContinuedFraction:
     """Digit expansion of 1 - x.
 
     The rewrite is local: [0; 1, a_2, ...] -> [0; a_2 + 1, ...] and
-    [0; a_1, ...] -> [0; 1, a_1 - 1, ...] for a_1 >= 2.  With
-    canonical=True (the default) a rational result is re-expanded in the
-    same ending variant as the input; canonical=False returns the raw
-    rewrite, which swaps the minus and plus forms.
+    [0; a_1, ...] -> [0; 1, a_1 - 1, ...] for a_1 >= 2.  At a rational it
+    swaps the minus and plus endings, so 1/2 = [0; 2] goes to [0; 1, 1].
+    That raw form is the one the maps' complement symmetry needs: the
+    map at parameter 1 - alpha sends 1 - x where the map at alpha sends x.
     """
     if x.is_periodic:
         head, period = x.head, x.period
@@ -606,16 +542,7 @@ def cf_complement(x: ContinuedFraction, canonical: bool = True) -> ContinuedFrac
         return ONE
     if x.head == (1,):
         return ZERO
-    out = _complement_rule(x.head)
-    if out is None:  # head (1,) handled above
-        raise AssertionError("unreachable")
-    result = ContinuedFraction(out)
-    if not canonical:
-        return result
-    plus_in = len(x.head) >= 2 and x.head[-1] == 1
-    return cf_from_rational(
-        cf_to_rational(result), variant="plus" if plus_in else "minus"
-    )
+    return ContinuedFraction(_complement_rule(x.head))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from .cf import (ContinuedFraction, ZERO, cf_from_rational, cf_from_text,
 from .errors import (ConvergenceError, DomainError, PrecisionBudgetError,
                      TruncationExhausted)
 from .maps import FIBONACCI_ALPHA, jimm, orbit, t_alpha_step
-from .lyapunov import monte_carlo_lyapunov
+from .lyapunov import BITS_PER_STEP, monte_carlo_lyapunov
 from .transfer import (closed_form_density, gkw_matrix, leading_eigen,
                        qmark_pushforward)
 from .verify import DENSITY_PAIRS, SUITES, all_passed
@@ -287,7 +287,7 @@ def cmd_lyapunov(args) -> int:
     if steps is None:
         # the golden-parameter member mixes slowly; double the default
         steps = 4000 if alpha == FIBONACCI_ALPHA else 2000
-    bits = 4 * steps if args.bits is None else args.bits
+    bits = BITS_PER_STEP * steps if args.bits is None else args.bits
     est = monte_carlo_lyapunov(alpha, args.samples, steps, bits=bits,
                                seed=args.seed, method=args.method)
     payload = {

@@ -27,6 +27,7 @@ from cfdyn.cf import (
     ZERO,
     ContinuedFraction,
     _bare,
+    _decision_horizon,
     _last_convergent,
     cf_value,
     drop_digits,
@@ -57,16 +58,6 @@ class StepDecision:
     digit_alpha: float = 0
     c: int = 0
     d: int = 0
-
-
-def _compare_cap(alpha: ContinuedFraction, head_len: int, period_len: int) -> int:
-    """Digits to compare before two eventually periodic streams, the
-    parameter's and one with this head and period length, are known to
-    agree everywhere."""
-    cap = len(alpha.head) + head_len + 2
-    if alpha.period or period_len:
-        cap += 2 * math.lcm(max(len(alpha.period), 1), max(period_len, 1))
-    return cap
 
 
 def _decide(alpha: ContinuedFraction, dx: Iterator, cap: int) -> StepDecision:
@@ -104,21 +95,31 @@ def _image(d: StepDecision, x: ContinuedFraction) -> ContinuedFraction:
 
 def t_alpha_step(alpha: ContinuedFraction, x: ContinuedFraction) -> ContinuedFraction:
     """One application of the map with the given parameter expansion."""
-    cap = _compare_cap(alpha, len(x.head), len(x.period))
+    cap = _decision_horizon(alpha, len(x.head), len(x.period))
     return _image(_decide(alpha, x.digits(), cap), x)
 
 
-def log_deriv_at(alpha: ContinuedFraction, x: ContinuedFraction, depth: int = 45) -> float:
+def _log_deriv(c: int, d: int, y: float) -> float:
+    """2*log(c*y + d), the log-derivative of a branch step with image y.
+
+    log1p keeps its relative precision where the derivative is near 1,
+    close to a neutral fixed point."""
+    return 2.0 * math.log1p(c * y + (d - 1))
+
+
+def log_deriv_at(alpha: ContinuedFraction, x: ContinuedFraction) -> float:
     """log|T'(x)|.
 
     Defined wherever the digit comparison resolves to a branch; raises
     DerivativeUndefined at 0, at the parameter itself, and at rationals
-    whose expansion is a prefix of the parameter's."""
-    d = _decide(alpha, x.digits(), _compare_cap(alpha, len(x.head), len(x.period)))
+    whose expansion is a prefix of the parameter's.  It takes one step
+    through the public path, so it is the reference that orbit averages
+    are tested against."""
+    d = _decide(alpha, x.digits(), _decision_horizon(alpha, len(x.head), len(x.period)))
     if d.case == "zero":
         raise DerivativeUndefined("the comparison never resolves at this point")
-    y, _ = cf_value(_image(d, x), depth)
-    return 2.0 * math.log(d.c * y + d.d)
+    y, _ = cf_value(_image(d, x))
+    return _log_deriv(d.c, d.d, y)
 
 
 # ---------------------------------------------------------------------------
@@ -203,14 +204,14 @@ def _orbit_runs(alpha: ContinuedFraction, x: ContinuedFraction,
     steps = 0
     while steps < n:
         d = _decide(alpha, cur.digits(),
-                    _compare_cap(alpha, len(cur.rev), len(cur.period)))
+                    _decision_horizon(alpha, len(cur.rev), len(cur.period)))
         if d.case == "zero":
             yield cur, 0, 0.0
             return
         if d.case == "reduce" and d.k == 1:
             m = min((d.digit_x - 1) // d.digit_alpha, n - steps)
             cur.set_first(d.digit_x - m * d.digit_alpha)
-            dlog = 2.0 * math.log1p(m * d.digit_alpha * cur.value())
+            dlog = _log_deriv(m * d.digit_alpha, 1, cur.value())
         else:
             if d.case == "strip":
                 cur.drop(d.k)
@@ -218,7 +219,7 @@ def _orbit_runs(alpha: ContinuedFraction, x: ContinuedFraction,
                 cur.drop(d.k - 1)
                 cur.set_first(d.digit_x - d.digit_alpha)
             m = 1
-            dlog = 2.0 * math.log(d.c * cur.value() + d.d)
+            dlog = _log_deriv(d.c, d.d, cur.value())
         steps += m
         yield cur, m, dlog
         if cur.is_zero():

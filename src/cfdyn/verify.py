@@ -16,15 +16,18 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .cf import (ContinuedFraction, ONE, agrees_on_settled, cf_from_rational,
-                 minkowski_q)
+from .cf import (ContinuedFraction, ONE, agrees_on_settled, cf_complement,
+                 cf_from_rational, from_binary_string, minkowski_q,
+                 to_binary_string)
 from .errors import DomainError, TruncationExhausted
-from .maps import FIBONACCI_ALPHA, GAUSS_ALPHA, jimm, t_alpha_step
+from .maps import (FIBONACCI_ALPHA, GAUSS_ALPHA, is_periodic_point, jimm,
+                   t_alpha_step)
 from .transfer import (DEFAULT_CONFIG, HALF_MINUS, FunctionOracle,
                        TransferConfig, apply_transfer, closed_form_density,
                        gkw_matrix, hurwitz_image, leading_eigen,
-                       qmark_pushforward, residual_b, residual_k_minus,
-                       residual_kernel_eta, residual_master)
+                       qmark_pushforward, residual_b, residual_fib_threeterm,
+                       residual_k_minus, residual_kernel_eta, residual_lewis,
+                       residual_master, transfer_equivalences)
 from .zeta import fib_functional_eq_residual, fib_zeta, hurwitz_zeta
 
 EPS = float(np.finfo(float).eps)
@@ -145,6 +148,17 @@ def suite_equations(cfg: TransferConfig = DEFAULT_CONFIG,
     out.append(_check("k-minus-discretized", worst, 10.0 * disc,
                       f"five-point identity on the grid eigenfunction; "
                       f"discretization error {disc:.2e}"))
+
+    points = (Fraction(3, 7), Fraction(2, 9), Fraction(1, 2))
+    worst = max(abs(residual_lewis(inv, 1, y)) for y in points)
+    out.append(_check("lewis-exact", worst, 0.0,
+                      "psi(y)=1/y at rational points, exact arithmetic"))
+
+    golden = lambda u: 1 / (u * (u + 1))
+    worst = max(abs(residual_fib_threeterm(golden, 1, 1, y)) for y in points)
+    out.append(_check("fib-threeterm-exact", worst, 0.0,
+                      "psi(y)=1/(y(y+1)) at rational points, exact "
+                      "arithmetic"))
     return out
 
 
@@ -183,7 +197,44 @@ def suite_conjugacy(n_samples: int = 500, depth: int = 30,
         _check("conjugacy-settled-floor", depth - min_settled, 12,
                f"weakest sample certified {min_settled} digits; "
                f"{skipped} undecidable comparisons"),
+        _complement_conjugacy(),
+        _complement_operators(),
     ]
+
+
+def _complement_conjugacy() -> CheckResult:
+    # both endings of every rational: the raw complement swaps them
+    xs = {cf_from_rational(Fraction(p, q), variant=v)
+          for q in range(1, 41) for p in range(q + 1) for v in ("minus", "plus")}
+    bad = sum(t_alpha_step(ONE, x) != t_alpha_step(GAUSS_ALPHA, cf_complement(x))
+              for x in xs)
+    return _check("complement-conjugacy", bad, 0,
+                  f"T_1(x) = T_0(1-x) exactly on {len(xs)} rational "
+                  "expansions with denominator <= 40")
+
+
+# 50 000 members per infinite family instead of the default 200 000 cut
+# the row's time about tenfold; the tails stay below 1e-9, far under the
+# O(1) gap a wrong conjugation leaves
+_EQUIVALENCE_CONFIG = TransferConfig(inner_max=50_000)
+
+
+def _complement_operators() -> CheckResult:
+    psi = closed_form_density("gauss")
+    worst_margin = -math.inf
+    worst = (0.0, 0.0)
+    for kind in ("alpha1-to-gauss", "half-plus-to-minus"):
+        for y in (0.3, 0.7):
+            lhs, rhs = transfer_equivalences(kind, psi, 1.0, y,
+                                             _EQUIVALENCE_CONFIG)
+            gap = abs(lhs.value - rhs.value)
+            bound = lhs.tail + rhs.tail + 1e-12
+            if gap - bound > worst_margin:
+                worst_margin = gap - bound
+                worst = (gap, bound)
+    return _check("complement-operators", worst[0], worst[1],
+                  "both operator conjugations on the classical density at "
+                  "y=0.3, 0.7; bound = tails + 1e-12")
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +282,15 @@ def suite_qmark(cfg: TransferConfig = DEFAULT_CONFIG) -> list[CheckResult]:
                 worst_at = f"{label}, y={y}"
     out.append(_check("qmark-pushforward", float(worst_gap), float(worst_tail),
                       f"three parameters, four points; worst at {worst_at}"))
+
+    bad = 0
+    for x, v in zip(pts, vals):
+        cx = cf_from_rational(x)
+        word = to_binary_string(cx)
+        bad += word.value() != v or from_binary_string(word) != cx
+    out.append(_check("qmark-binary-word", bad, 0,
+                      f"the word of x spells ?(x) and decodes back to x on "
+                      f"{len(pts)} rationals"))
     return out
 
 
@@ -319,7 +379,7 @@ def suite_fixed_points() -> list[CheckResult]:
     bad_fix = bad_val = 0
     for k in range(1, 7):
         x = fibonacci_fixed_point(k)
-        if t_alpha_step(FIBONACCI_ALPHA, x) != x:
+        if not is_periodic_point(FIBONACCI_ALPHA, x):
             bad_fix += 1
         want = Fraction(fibonacci(k), fibonacci(k + 2))
         sq = periodic_value(x).square()

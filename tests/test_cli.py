@@ -180,7 +180,8 @@ class TestVerifyCommand:
         report = json.loads(out.read_text())
         assert report["passed"] is True
         assert {c["name"] for c in report["suites"]["qmark"]} >= {
-            "qmark-dyadic-values", "qmark-monotone", "qmark-pushforward"}
+            "qmark-dyadic-values", "qmark-monotone", "qmark-pushforward",
+            "qmark-binary-word"}
 
 
 class TestHeatmap:

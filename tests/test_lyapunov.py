@@ -98,7 +98,7 @@ def stepwise_average(alpha, x, n):
     terminated = False
     while steps < n:
         try:
-            total += log_deriv_at(alpha, cur, depth=40)
+            total += log_deriv_at(alpha, cur)
         except DerivativeUndefined:  # the point goes to 0, no derivative
             terminated = True
             break

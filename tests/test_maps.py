@@ -116,23 +116,20 @@ class TestRationalParameterVariants:
 
 
 class TestComplementSymmetry:
-    """T with parameter (1 - alpha) at (1 - x) equals T_alpha at x, with
-    both complements taken by the raw digit rule."""
+    """T with parameter (1 - alpha) at (1 - x) equals T_alpha at x; the
+    complement's digit rule swaps the two endings of a rational."""
 
     @given(fractions_01, variants, fractions_01, variants)
     def test_rational_parameters(self, fa, va, fx, vx):
         alpha = cf_from_rational(fa, variant=va)
         x = cf_from_rational(fx, variant=vx)
-        lhs = t_alpha_step(
-            cf_complement(alpha, canonical=False),
-            cf_complement(x, canonical=False),
-        )
+        lhs = t_alpha_step(cf_complement(alpha), cf_complement(x))
         assert lhs == t_alpha_step(alpha, x)
 
     @given(periodics, fractions_01, variants)
     def test_periodic_parameters(self, alpha, fx, vx):
         x = cf_from_rational(fx, variant=vx)
-        lhs = t_alpha_step(cf_complement(alpha), cf_complement(x, canonical=False))
+        lhs = t_alpha_step(cf_complement(alpha), cf_complement(x))
         assert lhs == t_alpha_step(alpha, x)
 
     @given(periodics, periodics)
@@ -190,6 +187,16 @@ class TestDerivative:
         # near 0 the golden-parameter map has derivative approaching 1
         x = cf_from_rational(1, 500)
         assert log_deriv_at(FIBONACCI_ALPHA, x) < 0.01
+
+    def test_relative_precision_near_derivative_one(self):
+        # 2*log(1 + y) at y ~ 1e-12 loses all but four digits to rounding
+        n = 10 ** 12
+        # golden parameter at 1/n: reduce to 1/(n-1), |T'| = (1 + y)**2
+        got = log_deriv_at(FIBONACCI_ALPHA, cf_from_rational(1, n))
+        assert got == pytest.approx(2 * math.log1p(1 / (n - 1)), rel=1e-15, abs=0)
+        # classical parameter at [0;1,n]: strip to 1/n, |T'| = (1 + y)**2
+        got = log_deriv_at(GAUSS_ALPHA, CF((1, n)))
+        assert got == pytest.approx(2 * math.log1p(1 / n), rel=1e-15, abs=0)
 
 
 class TestOrbit:
