@@ -18,7 +18,7 @@ from cfdyn.transfer import (DEFAULT_CONFIG, closed_form_density, gkw_matrix,
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--sizes", type=int, nargs="+",
-                    default=[32, 64, 128, 256, 512])
+                    default=[32, 64, 128, 256, 512, 1024])
     args = ap.parse_args()
 
     reference = closed_form_density("gauss")

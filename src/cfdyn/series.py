@@ -32,17 +32,19 @@ def fibonacci(k: int) -> int:
     return _FIB[k + 1]
 
 
-def power_tail(a: float, b: float, p: float, start: int) -> SeriesValue:
+def power_tail(a: float, b, p: float, start) -> SeriesValue:
     """Euler-Maclaurin estimate of sum_{i >= start} (a*i + b)^(-p).
 
     Requires a > 0, p > 1 and a positive first summand.  The summand is
     completely monotone in i, so the magnitude of the second-order
     correction also bounds the remainder; it is returned as the tail.
+    b and start may be numpy arrays, giving elementwise estimates; an
+    infinite start gives 0.
     """
     if a <= 0 or p <= 1:
         raise DomainError("need a > 0 and p > 1 for a convergent power tail")
     u = a * start + b
-    if u <= 0:
+    if np.any(u <= 0):
         raise DomainError("first summand must be positive")
     integral = u ** (1.0 - p) / (a * (p - 1.0))
     half = 0.5 * u ** -p

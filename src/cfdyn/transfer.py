@@ -39,9 +39,9 @@ HALF_PLUS = ContinuedFraction((1, 1))
 
 @dataclass(frozen=True)
 class TransferConfig:
-    """Summation budgets.  The analytic parameters (the weight exponent s
-    and an eigenvalue guess) are explicit operation arguments instead, so
-    one config can be shared across calls."""
+    """Summation budgets, shareable across calls: s and eigenvalue guesses
+    are operation arguments.  inner_max caps the members summed one by one
+    in pointwise and pushforward sums; gkw_matrix sums every member."""
 
     depth_max: int = 200
     inner_max: int = 200_000
@@ -119,15 +119,13 @@ def _walk(levels, inner_max: int) -> Iterator[tuple]:
         yield lv, m, count > m
 
 
-def _dropped_weight(lv: _Level, s: float, y: float, m: int) -> SeriesValue:
-    """Total weight at y of a family's members past index m, up to the
-    family's end when it has one (clipped at 0), with the Euler-Maclaurin
-    tails of the sums involved."""
-    head = power_tail(lv.q, lv.q * y + lv.qq, 2.0 * s, m + 1)
-    if lv.digit == INF:
-        return head
-    cut = power_tail(lv.q, lv.q * y + lv.qq, 2.0 * s, lv.digit)
-    return SeriesValue(max(head.value - cut.value, 0.0), head.tail + cut.tail)
+def _require_settled(data: _LevelData, s: float, cfg: TransferConfig) -> None:
+    """Raise when a truncated parameter runs out of digits while its last
+    level still weighs more than tail_tol."""
+    last_q = data.levels[-1].q if data.levels else 1
+    if data.exhausted and last_q ** (-2.0 * s) > cfg.tail_tol:
+        raise TruncationExhausted(
+            "parameter expansion has too few settled digits for this tolerance")
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +190,10 @@ def _family_tail_terms(oracle: FunctionOracle, lv: _Level, y: float,
     psi across that shrinking segment is left in the bound (doubled, to
     cover mild non-monotone variation).  When psi cannot be evaluated at
     the limit the whole dropped mass goes into the bound instead."""
-    weight, werr = _dropped_weight(lv, s, y, m)
+    # dropped weight: members m+1.. up to the family's end, if it has one
+    head = power_tail(lv.q, lv.q * y + lv.qq, 2.0 * s, m + 1)
+    cut = power_tail(lv.q, lv.q * y + lv.qq, 2.0 * s, lv.digit)
+    weight, werr = max(head.value - cut.value, 0.0), head.tail + cut.tail
     limit = lv.p / lv.q
     try:
         at_limit = float(oracle.fn(limit))
@@ -262,11 +263,8 @@ def apply_transfer(alpha: ContinuedFraction, s: float, psi, y: float,
                 f"depth sums are not contracting (ratio {ratio:.3f})", last=total)
         ratio = min(ratio, 0.9)
         tail += sums[-1] * ratio / (1.0 - ratio)
-    if data.exhausted and not stopped_early:
-        last_q = data.levels[-1].q if data.levels else 1
-        if last_q ** (-2.0 * s) > cfg.tail_tol:
-            raise TruncationExhausted(
-                "parameter expansion has too few settled digits for this tolerance")
+    if not stopped_early:
+        _require_settled(data, s, cfg)
     return SeriesValue(total, tail)
 
 
@@ -274,59 +272,69 @@ def apply_transfer(alpha: ContinuedFraction, s: float, psi, y: float,
 # grid discretization
 
 
+_HEAD = 256  # family members split one by one; later ones go cell by cell
+
+
 def gkw_matrix(alpha: ContinuedFraction, s: float, n: int,
                cfg: TransferConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Collocation matrix of the operator on piecewise-linear hats over
     the uniform grid j/n: row j expresses (L psi)(y_j), with each branch
-    image's weight split linearly between its two neighbouring nodes."""
+    image's weight split linearly between its two neighbouring nodes.
+    A family's first _HEAD members are split one by one; the rest, to its
+    end or to infinity, are grouped by the cell their images fall in."""
     if n < 16:
         raise DomainError("grid size must be >= 16")
     if s <= 0.5:
         raise DomainError("branch series diverges for s <= 1/2")
     data = _levels(alpha, cfg.depth_max)
-    nodes = n + 1
-    ys = np.linspace(0.0, 1.0, nodes)
-    rows = np.arange(nodes)
-    mat = np.zeros((nodes, nodes))
+    _require_settled(data, s, cfg)
+    ys = np.linspace(0.0, 1.0, n + 1)[:, None]
+    offsets = np.arange(n + 1)[:, None] * (n + 1)  # flat index of each row
+    flat, mass = [], []
 
-    def scatter_all_rows(weights: np.ndarray, images: np.ndarray) -> None:
+    def split(cells, lower, upper) -> None:
+        flat.append(np.stack((offsets + cells, offsets + cells + 1), axis=-1).ravel())
+        mass.append(np.stack((lower, upper), axis=-1).ravel())
+
+    def scatter(weights, images) -> None:
         t = images * n
         idx = np.minimum(t.astype(int), n - 1)
         frac = t - idx
-        np.add.at(mat, (rows, idx), weights * (1.0 - frac))
-        np.add.at(mat, (rows, idx + 1), weights * frac)
+        split(idx, weights * (1.0 - frac), weights * frac)
 
-    for lv, capped, lumped in _walk(data.levels, cfg.inner_max):
+    for lv in data.levels:
         if lv.q ** (-2.0 * s) < cfg.tail_tol:
             break
-        if lv.digit == INF:
-            # one row at a time, vectorized over the family index
-            i = np.arange(1, capped + 1, dtype=float)
-            for j in range(nodes):
-                z = ys[j] + i
-                den = lv.q * z + lv.qq
-                w = den ** (-2.0 * s)
-                t = (lv.p * z + lv.pp) / den * n
-                idx = np.minimum(t.astype(int), n - 1)
-                frac = t - idx
-                mat[j] += np.bincount(idx, weights=w * (1.0 - frac), minlength=nodes)
-                mat[j] += np.bincount(idx + 1, weights=w * frac, minlength=nodes)
-        else:
-            for i in range(1, capped + 1):
-                z = ys + i
-                den = lv.q * z + lv.qq
-                scatter_all_rows(den ** (-2.0 * s), (lv.p * z + lv.pp) / den)
-        if lumped:
-            # members past the cap sit within O(1/inner_max) of the family
-            # limit p/q; lump their total weight there, which keeps the
-            # matrix a faithful quadrature instead of silently losing mass
-            dropped = np.array([_dropped_weight(lv, s, yj, capped).value
-                                for yj in ys])
-            scatter_all_rows(dropped, np.full(nodes, lv.p / lv.q))
+        count = lv.digit - 1  # inf stays inf
+        if count >= 1:
+            z = ys + np.arange(1.0, min(count, _HEAD) + 1)
+            den = lv.q * z + lv.qq
+            scatter(den ** (-2.0 * s), (lv.p * z + lv.pp) / den)
+        if count > _HEAD:
+            # members i >= a weigh u^(-2s), u = q(y+i)+qq > qH, and their
+            # images lie within 1/(qu) of p/q.  Image >= k/n holds for i >=
+            # cross (A > 0), i <= cross (A < 0), all or no i (A = 0: p/q = k/n)
+            a, lim, gap = _HEAD + 1.0, lv.p / lv.q, 1.0 / (lv.q * lv.q * _HEAD)
+            k = np.arange(int(n * (lim - gap)) - 1, int(n * (lim + gap)) + 3)
+            A, B = n * lv.p - k * lv.q, n * lv.pp - k * lv.qq
+            cross = -B / np.where(A == 0, 1, A) - ys
+            lo = np.where(A > 0, np.maximum(a, np.ceil(cross)), a)
+            lo[:, (k >= n) | ((A == 0) & (B < 0))] = np.inf
+            hi = np.where(A < 0, np.minimum(count, np.floor(cross)), count)
+            b, hi = lv.q * ys + lv.qq, np.maximum(hi, lo - 1.0)
+            # per cell: weight and weight times image, (p u^(-2s) - det u^(-2s-1))/q
+            w, w1 = (np.diff(power_tail(lv.q, b, e, hi + 1.0).value
+                             - power_tail(lv.q, b, e, lo).value, axis=1)
+                     for e in (2.0 * s, 2.0 * s + 1.0))
+            wx = (lv.p * w - (lv.p * lv.qq - lv.pp * lv.q) * w1) / lv.q
+            w = np.maximum(w, 0.0)
+            lower = np.clip((k[:-1] + 1) * w - n * wx, 0.0, w)
+            split(np.clip(k[:-1], 0, n - 1), lower, w - lower)
         if lv.digit != INF:
             den = lv.qk * ys + lv.q
-            scatter_all_rows(den ** (-2.0 * s), (lv.pk * ys + lv.p) / den)
-    return mat
+            scatter(den ** (-2.0 * s), (lv.pk * ys + lv.p) / den)
+    return np.bincount(np.concatenate(flat), np.concatenate(mass),
+                       minlength=(n + 1) ** 2).reshape(n + 1, n + 1)
 
 
 @dataclass(eq=False)

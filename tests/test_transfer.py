@@ -18,7 +18,7 @@ from cfdyn.cf import (
 )
 from cfdyn.errors import ConvergenceError, DomainError, TruncationExhausted
 from cfdyn.maps import t_alpha_step
-from cfdyn.series import hurwitz_sum
+from cfdyn.series import hurwitz_sum, power_tail
 from cfdyn import transfer as tr
 
 GOLDEN = ContinuedFraction((), (1,))
@@ -211,10 +211,75 @@ class TestApply:
         assert lhs.value == pytest.approx(rhs, abs=1e-10)
 
 
+def brute_matrix_rows(alpha, s, n, rows, members=4_000_000, chunk=1 << 18):
+    """Rows of the grid matrix with each family's first `members` members
+    split one by one and the weight of the rest (power_tail) placed at
+    the family limit p/q."""
+    ys = np.linspace(0.0, 1.0, n + 1)
+    out = np.zeros((len(rows), n + 1))
+
+    def put(r, w, x):
+        t = np.atleast_1d(x) * n
+        idx = np.minimum(t.astype(int), n - 1)
+        frac = t - idx
+        out[r] += np.bincount(idx, w * (1.0 - frac), minlength=n + 1)
+        out[r] += np.bincount(idx + 1, w * frac, minlength=n + 1)
+
+    for r, y in enumerate(ys[rows]):
+        for lv in tr._levels(alpha, 200).levels:
+            if lv.q ** (-2.0 * s) < 1e-14:
+                break
+            count = min(lv.digit - 1, members)
+            for lo in range(1, count + 1, chunk):
+                z = y + np.arange(lo, min(lo + chunk, count + 1), dtype=float)
+                den = lv.q * z + lv.qq
+                put(r, den ** (-2.0 * s), (lv.p * z + lv.pp) / den)
+            if lv.digit == math.inf:
+                rest = power_tail(lv.q, lv.q * y + lv.qq, 2.0 * s, members + 1)
+                put(r, rest.value, lv.p / lv.q)
+            else:
+                den = lv.qk * y + lv.q
+                put(r, den ** (-2.0 * s), (lv.pk * y + lv.p) / den)
+    return out
+
+
 class TestMatrix:
     def test_rejects_small_grid(self):
         with pytest.raises(DomainError):
             tr.gkw_matrix(ZERO, 1.0, 8)
+
+    @pytest.mark.parametrize("alpha", [
+        ZERO, tr.HALF_MINUS, cf_from_rational(Fraction(1, 3)),
+        cf_from_rational(Fraction(1, 7)), cf_from_rational(Fraction(1, 1000)),
+        GOLDEN,
+    ], ids=["0", "1/2", "1/3", "1/7", "1/1000", "(1)"])
+    def test_matches_brute_force_rows(self, alpha):
+        # every member lands in its own cell: against 4e6 explicit members
+        # per family; the remainder, placed at the limit, weighs 2.5e-7
+        # and lies within 2.5e-7 of it, which moves an entry by ~1e-12
+        n, rows = 16, [0, 5, 8, 16]
+        got = tr.gkw_matrix(alpha, 1.0, n)[rows]
+        want = brute_matrix_rows(alpha, 1.0, n, rows)
+        assert np.max(np.abs(got - want)) < 5e-12
+
+    def test_truncated_parameter_raises(self):
+        # the missing digits would carry about 1 % of each row's mass
+        stub = ContinuedFraction((3, 1, 2), (), False)
+        with pytest.raises(TruncationExhausted):
+            tr.gkw_matrix(stub, 1.0, 16)
+
+    @pytest.mark.parametrize("s", [1.0, 1.5])
+    @pytest.mark.parametrize("alpha,kind", [(ONE, "alpha1"),
+                                            (tr.HALF_MINUS, "half")],
+                             ids=["one", "half"])
+    def test_row_sums_are_closed_form_images(self, alpha, kind, s):
+        # hat weights conserve each branch's weight, so a row sums to the
+        # operator applied to 1 at its node
+        n = 64
+        m = tr.gkw_matrix(alpha, s, n)
+        for j in range(1, n + 1):
+            want = tr.hurwitz_image(kind, s, j / n)
+            assert abs(m[j].sum() - want.value) <= want.tail + 1e-12
 
     def test_gauss_row_sums_are_shifted_power_sums(self):
         n = 32
