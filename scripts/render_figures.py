@@ -12,7 +12,7 @@ import os
 
 from cfdyn import cli
 from cfdyn.maps import FIBONACCI_ALPHA, GAUSS_ALPHA
-from cfdyn.transfer import DEFAULT_CONFIG, gkw_matrix, leading_eigen
+from cfdyn.transfer import gkw_matrix, leading_eigen
 
 
 def main() -> None:
@@ -35,7 +35,7 @@ def main() -> None:
 
     pairs = (("classical", GAUSS_ALPHA), ("golden", FIBONACCI_ALPHA))
     for label, alpha in pairs:
-        matrix = gkw_matrix(alpha, 1.0, args.density_grid, DEFAULT_CONFIG)
+        matrix = gkw_matrix(alpha, 1.0, args.density_grid)
         lam, density = leading_eigen(matrix)
         path = os.path.join(args.out_dir, "density_%s.csv" % label)
         with open(path, "w", newline="") as fh:

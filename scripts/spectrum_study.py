@@ -11,8 +11,7 @@ import argparse
 import numpy as np
 
 from cfdyn.maps import GAUSS_ALPHA
-from cfdyn.transfer import (DEFAULT_CONFIG, closed_form_density, gkw_matrix,
-                            leading_eigen)
+from cfdyn.transfer import closed_form_density, gkw_matrix, leading_eigen
 
 
 def main() -> None:
@@ -24,8 +23,7 @@ def main() -> None:
     reference = closed_form_density("gauss")
     print("%6s  %14s  %14s" % ("n", "|lambda - 1|", "sup-error"))
     for n in args.sizes:
-        lam, density = leading_eigen(gkw_matrix(GAUSS_ALPHA, 1.0, n,
-                                                DEFAULT_CONFIG))
+        lam, density = leading_eigen(gkw_matrix(GAUSS_ALPHA, 1.0, n))
         sup = float(np.max(np.abs(density.values - reference(density.nodes))))
         print("%6d  %14.5e  %14.5e" % (n, abs(lam - 1.0), sup))
 

@@ -52,12 +52,9 @@ from cfdyn.maps import (
 )
 from cfdyn.series import SeriesValue, fibonacci, hurwitz_sum, power_tail
 from cfdyn.transfer import (
-    DEFAULT_CONFIG,
     HALF_MINUS,
     HALF_PLUS,
-    FunctionOracle,
     GridDensity,
-    TransferConfig,
     apply_transfer,
     closed_form_density,
     gkw_matrix,

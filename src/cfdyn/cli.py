@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import re
 import sys
@@ -178,6 +179,8 @@ def cmd_cf(args) -> int:
 
 
 def cmd_map_eval(args) -> int:
+    if args.iter < 0:
+        raise DomainError("--iter must be >= 0")
     alpha = parse_point(args.alpha)
     y = parse_point(args.x)
     for _ in range(args.iter):
@@ -263,6 +266,8 @@ def _matching_density(alpha: ContinuedFraction, s: float):
 
 
 def cmd_verify(args) -> int:
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0):
+        raise DomainError("--tol must be a finite number >= 0")
     names = [args.suite] if args.suite else list(SUITES)
     report = {"suites": {}, "passed": True}
     for name in names:

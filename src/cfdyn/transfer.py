@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
@@ -36,27 +37,12 @@ LOG2 = math.log(2.0)
 HALF_MINUS = ContinuedFraction((2,))
 HALF_PLUS = ContinuedFraction((1, 1))
 
-
-@dataclass(frozen=True)
-class TransferConfig:
-    """Summation budgets, shareable across calls: s and eigenvalue guesses
-    are operation arguments.  inner_max caps the members summed one by one
-    in pointwise and pushforward sums; gkw_matrix sums every member."""
-
-    depth_max: int = 200
-    inner_max: int = 200_000
-    tail_tol: float = 1e-14
-
-    def __post_init__(self):
-        if self.depth_max < 1:
-            raise DomainError("depth_max must be >= 1")
-        if self.inner_max < 1:
-            raise DomainError("inner_max must be >= 1")
-        if not self.tail_tol > 0:
-            raise DomainError("tail_tol must be positive")
-
-
-DEFAULT_CONFIG = TransferConfig()
+# summation budgets: comparison depths walked, members per family summed
+# one by one (pointwise sums; gkw_matrix sums every member), and the weight
+# below which a level, or a missing digit, no longer counts
+DEPTH_MAX = 200
+INNER_MAX = 200_000
+TAIL_TOL = 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -94,14 +80,14 @@ class _LevelData:
 
 
 @functools.lru_cache(maxsize=256)
-def _levels(alpha: ContinuedFraction, depth_max: int) -> _LevelData:
-    rows = _convergent_rows(alpha.digits(), depth_max)
+def _levels(alpha: ContinuedFraction) -> _LevelData:
+    rows = _convergent_rows(alpha.digits(), DEPTH_MAX)
     # level k needs the rows of depths k-1 and k; depth 0 is (0, 1; 1, 0)
     before = [(0, 1, 1, 0)] + rows
     levels = [_Level(k, (qk - qq) // q, p, pp, q, qq, pk, qk)
               for k, ((pk, _, qk, _), (p, pp, q, qq))
               in enumerate(zip(rows, before), start=1)]
-    ended = len(rows) < depth_max
+    ended = len(rows) < DEPTH_MAX
     complete = ended and alpha.is_rational
     if complete:
         levels.append(_Level(len(rows) + 1, INF, *before[-1], None, None))
@@ -119,11 +105,11 @@ def _walk(levels, inner_max: int) -> Iterator[tuple]:
         yield lv, m, count > m
 
 
-def _require_settled(data: _LevelData, s: float, cfg: TransferConfig) -> None:
+def _require_settled(data: _LevelData, s: float) -> None:
     """Raise when a truncated parameter runs out of digits while its last
-    level still weighs more than tail_tol."""
+    level still weighs more than TAIL_TOL."""
     last_q = data.levels[-1].q if data.levels else 1
-    if data.exhausted and last_q ** (-2.0 * s) > cfg.tail_tol:
+    if data.exhausted and last_q ** (-2.0 * s) > TAIL_TOL:
         raise TruncationExhausted(
             "parameter expansion has too few settled digits for this tolerance")
 
@@ -132,43 +118,14 @@ def _require_settled(data: _LevelData, s: float, cfg: TransferConfig) -> None:
 # pointwise application
 
 
-@dataclass
-class FunctionOracle:
-    """A real function the operator can sample.
-
-    ``vectorized`` promises that ``fn`` accepts numpy arrays elementwise;
-    anything else is called one float at a time."""
-
-    fn: Callable
-    vectorized: bool = False
-    label: str = ""
-
-    def __call__(self, y):
-        return self.fn(y)
-
-
-def _as_oracle(psi) -> FunctionOracle:
-    if isinstance(psi, FunctionOracle):
-        return psi
-    if callable(psi):
-        return FunctionOracle(psi)
-    raise DomainError("psi must be callable")
-
-
-def _eval_array(oracle: FunctionOracle, arr: np.ndarray) -> np.ndarray:
-    if oracle.vectorized:
-        return np.asarray(oracle.fn(arr), dtype=float)
-    return np.array([float(oracle.fn(float(v))) for v in arr], dtype=float)
-
-
-def _abs_at(oracle: FunctionOracle, u: float) -> float:
+def _abs_at(psi: Callable, u: float) -> float:
     try:
-        return abs(float(oracle.fn(u)))
+        return abs(float(psi(u)))
     except ZeroDivisionError:
         return math.inf
 
 
-def _family_probe_sup(oracle: FunctionOracle, lv: _Level, y: float, m: int) -> float:
+def _family_probe_sup(psi: Callable, lv: _Level, y: float, m: int) -> float:
     """Sup of |psi| over the dropped part of an arithmetic branch family,
     estimated at a few probe indices plus the family's limit point.  The
     probed points bracket the tail image segment; for the monotone
@@ -176,12 +133,12 @@ def _family_probe_sup(oracle: FunctionOracle, lv: _Level, y: float, m: int) -> f
     sup = 0.0
     for i in (m + 1, m + 2, m + 4, m + 8, m + 16):
         z = y + i
-        sup = max(sup, _abs_at(oracle, (lv.p * z + lv.pp) / (lv.q * z + lv.qq)))
-    sup = max(sup, _abs_at(oracle, lv.p / lv.q))
+        sup = max(sup, _abs_at(psi, (lv.p * z + lv.pp) / (lv.q * z + lv.qq)))
+    sup = max(sup, _abs_at(psi, lv.p / lv.q))
     return sup
 
 
-def _family_tail_terms(oracle: FunctionOracle, lv: _Level, y: float,
+def _family_tail_terms(psi: Callable, lv: _Level, y: float,
                        m: int, s: float) -> tuple:
     """(correction, bound) for the family members beyond index m.
 
@@ -196,29 +153,32 @@ def _family_tail_terms(oracle: FunctionOracle, lv: _Level, y: float,
     weight, werr = max(head.value - cut.value, 0.0), head.tail + cut.tail
     limit = lv.p / lv.q
     try:
-        at_limit = float(oracle.fn(limit))
+        at_limit = float(psi(limit))
     except ZeroDivisionError:
         at_limit = math.nan
     if not math.isfinite(at_limit):
-        return 0.0, (weight + werr) * _family_probe_sup(oracle, lv, y, m)
+        return 0.0, (weight + werr) * _family_probe_sup(psi, lv, y, m)
     spread = 0.0
     for i in (m + 1, m + 2, m + 4):
         z = y + i
         try:
-            probe = float(oracle.fn((lv.p * z + lv.pp) / (lv.q * z + lv.qq)))
+            probe = float(psi((lv.p * z + lv.pp) / (lv.q * z + lv.qq)))
         except ZeroDivisionError:
             probe = math.inf
         spread = max(spread, abs(probe - at_limit))
         if not math.isfinite(spread):
-            return 0.0, (weight + werr) * _family_probe_sup(oracle, lv, y, m)
+            return 0.0, (weight + werr) * _family_probe_sup(psi, lv, y, m)
     return weight * at_limit, 2.0 * weight * spread + werr * (abs(at_limit) + spread)
 
 
-def apply_transfer(alpha: ContinuedFraction, s: float, psi, y: float,
-                   cfg: TransferConfig = DEFAULT_CONFIG) -> SeriesValue:
+def apply_transfer(alpha: ContinuedFraction, s: float, psi: Callable,
+                   y: float, inner_max: int = INNER_MAX) -> SeriesValue:
     """Weighted branch sum  sum_b |b'(y)|^s psi(b(y))  with a certified
-    truncation tail.
+    truncation tail; each infinite family's first inner_max members are
+    summed one by one.
 
+    psi is called on float arrays of branch images and on single floats,
+    so it must be numpy-elementwise; a constant may come back as a scalar.
     y is normally in (0,1) but any positive y is accepted: every branch
     image stays inside (0,1), which is what lets grid eigenfunctions be
     extended past 1 through this very sum."""
@@ -226,32 +186,33 @@ def apply_transfer(alpha: ContinuedFraction, s: float, psi, y: float,
         raise DomainError("branch series diverges for s <= 1/2")
     if not y > 0:
         raise DomainError("evaluation point must be positive")
-    oracle = _as_oracle(psi)
-    data = _levels(alpha, cfg.depth_max)
+    if not (isinstance(inner_max, numbers.Integral) and inner_max >= 1):
+        raise DomainError("inner_max must be an integer >= 1")
+    data = _levels(alpha)
 
     total = 0.0
     tail = 0.0
     sums = []  # per-depth absolute sums, for the geometric depth bound
     stopped_early = False
-    for lv, m, lumped in _walk(data.levels, cfg.inner_max):
+    for lv, m, lumped in _walk(data.levels, inner_max):
         level_sum = 0.0
         if m >= 1:
             z = y + np.arange(1, m + 1, dtype=float)
             den = lv.q * z + lv.qq
             weights = den ** (-2.0 * s)
-            values = _eval_array(oracle, (lv.p * z + lv.pp) / den)
+            values = np.asarray(psi((lv.p * z + lv.pp) / den), dtype=float)
             level_sum += float(np.sum(weights * values))
         if lumped:
-            correction, bound = _family_tail_terms(oracle, lv, y, m, s)
+            correction, bound = _family_tail_terms(psi, lv, y, m, s)
             level_sum += correction
             tail += bound
         if lv.digit != INF:
             den0 = lv.qk * y + lv.q
-            level_sum += den0 ** (-2.0 * s) * float(oracle.fn((lv.pk * y + lv.p) / den0))
+            level_sum += den0 ** (-2.0 * s) * float(psi((lv.pk * y + lv.p) / den0))
         total += level_sum
         sums.append(abs(level_sum))
-        if len(sums) >= 2 and sums[-1] < cfg.tail_tol * max(1.0, abs(total)) \
-                and sums[-2] < cfg.tail_tol * max(1.0, abs(total)):
+        if len(sums) >= 2 and sums[-1] < TAIL_TOL * max(1.0, abs(total)) \
+                and sums[-2] < TAIL_TOL * max(1.0, abs(total)):
             stopped_early = True
             break
 
@@ -264,7 +225,7 @@ def apply_transfer(alpha: ContinuedFraction, s: float, psi, y: float,
         ratio = min(ratio, 0.9)
         tail += sums[-1] * ratio / (1.0 - ratio)
     if not stopped_early:
-        _require_settled(data, s, cfg)
+        _require_settled(data, s)
     return SeriesValue(total, tail)
 
 
@@ -275,8 +236,7 @@ def apply_transfer(alpha: ContinuedFraction, s: float, psi, y: float,
 _HEAD = 256  # family members split one by one; later ones go cell by cell
 
 
-def gkw_matrix(alpha: ContinuedFraction, s: float, n: int,
-               cfg: TransferConfig = DEFAULT_CONFIG) -> np.ndarray:
+def gkw_matrix(alpha: ContinuedFraction, s: float, n: int) -> np.ndarray:
     """Collocation matrix of the operator on piecewise-linear hats over
     the uniform grid j/n: row j expresses (L psi)(y_j), with each branch
     image's weight split linearly between its two neighbouring nodes.
@@ -286,8 +246,8 @@ def gkw_matrix(alpha: ContinuedFraction, s: float, n: int,
         raise DomainError("grid size must be >= 16")
     if s <= 0.5:
         raise DomainError("branch series diverges for s <= 1/2")
-    data = _levels(alpha, cfg.depth_max)
-    _require_settled(data, s, cfg)
+    data = _levels(alpha)
+    _require_settled(data, s)
     ys = np.linspace(0.0, 1.0, n + 1)[:, None]
     offsets = np.arange(n + 1)[:, None] * (n + 1)  # flat index of each row
     flat, mass = [], []
@@ -303,7 +263,7 @@ def gkw_matrix(alpha: ContinuedFraction, s: float, n: int,
         split(idx, weights * (1.0 - frac), weights * frac)
 
     for lv in data.levels:
-        if lv.q ** (-2.0 * s) < cfg.tail_tol:
+        if lv.q ** (-2.0 * s) < TAIL_TOL:
             break
         count = lv.digit - 1  # inf stays inf
         if count >= 1:
@@ -358,9 +318,6 @@ class GridDensity:
     def __call__(self, y):
         return np.interp(y, self.nodes, self.values)
 
-    def oracle(self) -> FunctionOracle:
-        return FunctionOracle(self.__call__, vectorized=True, label="grid")
-
     def csv_text(self) -> str:
         """CSV of the samples: a "y,value" header, then one CRLF-ended row
         per node with both numbers at full float precision."""
@@ -405,26 +362,29 @@ def leading_eigen(m: np.ndarray, tol: float = 1e-12,
 # closed-form invariant densities
 
 
-def _k_series_fn(K: int, m_terms: int) -> Callable:
+_K_SERIES_TERMS = 20_000
+
+
+def _k_series_fn(K: int) -> Callable:
     # psi_K(y) = sum_{i>=0} 1/((1+Kiy)(1+(Ki+1)y)) - 1/((y+Ki+K)(y+Ki+K+1)),
-    # capped at m_terms with Euler-Maclaurin closures of both tails.  The
-    # closures are corrections, not bounds: their own error is smaller than
-    # the next Bernoulli term, far below 1e-12 at the default cap.
+    # capped at _K_SERIES_TERMS with Euler-Maclaurin closures of both tails.
+    # The closures are corrections, not bounds: their own error is smaller
+    # than the next Bernoulli term, far below 1e-12 at this cap.
     def fn(y):
         arr = np.atleast_1d(np.asarray(y, dtype=float))
         out = np.empty_like(arr)
-        ki = np.arange(m_terms, dtype=float) * K
+        ki = np.arange(_K_SERIES_TERMS, dtype=float) * K
         for lo in range(0, arr.size, 256):
             seg = arr[lo:lo + 256]
             v = 1.0 + ki[None, :] * seg[:, None]
             ssum = np.sum(1.0 / (v * (v + seg[:, None])), axis=1)
             u = seg[:, None] + ki[None, :] + K
             ssum -= np.sum(1.0 / (u * (u + 1.0)), axis=1)
-            vm = 1.0 + (K * m_terms) * seg
+            vm = 1.0 + (K * _K_SERIES_TERMS) * seg
             ssum += np.log1p(seg / vm) / (K * seg * seg)
             ssum += 0.5 / (vm * (vm + seg))
             ssum += K * seg * (2.0 * vm + seg) / (12.0 * (vm * (vm + seg)) ** 2)
-            um = seg + K * m_terms + K
+            um = seg + K * _K_SERIES_TERMS + K
             ssum -= np.log1p(1.0 / um) / K
             ssum -= 0.5 / (um * (um + 1.0))
             ssum -= K * (2.0 * um + 1.0) / (12.0 * (um * (um + 1.0)) ** 2)
@@ -434,24 +394,24 @@ def _k_series_fn(K: int, m_terms: int) -> Callable:
     return fn
 
 
-def closed_form_density(which: str, K: Optional[int] = None,
-                        m_terms: int = 20_000) -> FunctionOracle:
-    """The known invariant densities, as vectorized oracles on (0, inf).
+def closed_form_density(which: str, K: Optional[int] = None) -> Callable:
+    """The known invariant densities, as numpy-elementwise functions on
+    (0, inf).
 
     kinds: "gauss" 1/((1+y) log 2); "alpha_one" 1/y; "fibonacci"
     1/(y(y+1)); "k_series" the series density of the constant-digit-K
     parameter (K=1 collapses to the fibonacci one, numerically)."""
     kind = which.strip().lower()
     if kind == "gauss":
-        return FunctionOracle(lambda y: 1.0 / ((1.0 + y) * LOG2), True, "gauss")
+        return lambda y: 1.0 / ((1.0 + y) * LOG2)
     if kind == "alpha_one":
-        return FunctionOracle(lambda y: 1.0 / y, True, "alpha_one")
+        return lambda y: 1.0 / y
     if kind == "fibonacci":
-        return FunctionOracle(lambda y: 1.0 / (y * (y + 1.0)), True, "fibonacci")
+        return lambda y: 1.0 / (y * (y + 1.0))
     if kind == "k_series":
         if K is None or K < 1:
             raise DomainError("k_series needs K >= 1")
-        return FunctionOracle(_k_series_fn(K, m_terms), True, f"k_series_{K}")
+        return _k_series_fn(K)
     raise DomainError(f"unknown density kind {which!r}")
 
 
@@ -470,34 +430,30 @@ def _exactify(y):
 def residual_master(psi, s, lam, y):
     """The master equation shared by eigenfunctions of every member's
     operator; identically zero for 1-periodic odd functions."""
-    f = _as_oracle(psi).fn
     y = _exactify(y)
-    return (f(y) - f(1 + y)
-            + y ** (-2 * s) * (f(1 / y) - f(1 + 1 / y))
-            - (1 + y) ** (-2 * s) * (f(y / (1 + y)) + f(1 / (1 + y))) / lam)
+    return (psi(y) - psi(1 + y)
+            + y ** (-2 * s) * (psi(1 / y) - psi(1 + 1 / y))
+            - (1 + y) ** (-2 * s) * (psi(y / (1 + y)) + psi(1 / (1 + y))) / lam)
 
 
 def residual_lewis(psi, s, y):
     """Three-term period-function equation."""
-    f = _as_oracle(psi).fn
     y = _exactify(y)
-    return f(y) - f(1 + y) - (1 + y) ** (-2 * s) * f(y / (1 + y))
+    return psi(y) - psi(1 + y) - (1 + y) ** (-2 * s) * psi(y / (1 + y))
 
 
 def residual_b(psi, s, lam, y):
     """Companion three-term equation; at lam=1 it is the fixed-point
     equation of the classical operator's analytic eigenfunctions."""
-    f = _as_oracle(psi).fn
     y = _exactify(y)
-    return f(y) - f(1 + y) - (1 + y) ** (-2 * s) * f(1 / (1 + y)) / lam
+    return psi(y) - psi(1 + y) - (1 + y) ** (-2 * s) * psi(1 / (1 + y)) / lam
 
 
 def residual_fib_threeterm(psi, s, lam, y):
     """Three-term equation tied to the golden-parameter member."""
-    f = _as_oracle(psi).fn
     y = _exactify(y)
-    return (f(y) - y ** (-2 * s) * f((y + 1) / y)
-            - (y + 1) ** (-2 * s) * f(y / (y + 1)) / lam)
+    return (psi(y) - y ** (-2 * s) * psi((y + 1) / y)
+            - (y + 1) ** (-2 * s) * psi(y / (y + 1)) / lam)
 
 
 def residual_k_minus(psi, s, K, y):
@@ -505,27 +461,26 @@ def residual_k_minus(psi, s, K, y):
     parameter 1/K with the short expansion, K >= 2."""
     if K < 2:
         raise DomainError("the identity needs an integer K >= 2")
-    f = _as_oracle(psi).fn
     y = _exactify(y)
-    return f(y + 1) - (f(y)
-                       - (1 + y) ** (-2 * s) * f(1 / (1 + y))
-                       + (K + y) ** (-2 * s) * f(1 / (K + y))
-                       - (K * y + 1) ** (-2 * s) * f(y / (K * y + 1)))
+    return psi(y + 1) - (psi(y)
+                         - (1 + y) ** (-2 * s) * psi(1 / (1 + y))
+                         + (K + y) ** (-2 * s) * psi(1 / (K + y))
+                         - (K * y + 1) ** (-2 * s) * psi(y / (K * y + 1)))
 
 
 def residual_kernel_eta(eta, s, y):
     """Kernel equation with the exact solution eta(y) = 1/y at s = 1."""
-    f = _as_oracle(eta).fn
     y = _exactify(y)
-    return y ** (-2 * s) * f(1 / y) - f(y + 1) - y ** (-2 * s) * f(1 + 1 / y)
+    return (y ** (-2 * s) * eta(1 / y) - eta(y + 1)
+            - y ** (-2 * s) * eta(1 + 1 / y))
 
 
 # ---------------------------------------------------------------------------
 # cross-member identities
 
 
-def transfer_equivalences(kind: str, psi, s: float, y: float,
-                          cfg: TransferConfig = DEFAULT_CONFIG):
+def transfer_equivalences(kind: str, psi: Callable, s: float, y: float,
+                          inner_max: int = INNER_MAX):
     """Both sides of a member-to-member conjugation identity.
 
     "alpha1-to-gauss": the parameter-one operator on psi against the
@@ -533,23 +488,23 @@ def transfer_equivalences(kind: str, psi, s: float, y: float,
     expansions of one half against each other, again via psi(1-.).
     Returns (lhs, rhs) as SeriesValue pairs so the caller can compare
     within the two reported tails."""
-    oracle = _as_oracle(psi)
-    flipped = FunctionOracle(lambda u: oracle.fn(1 - u), oracle.vectorized,
-                             oracle.label + "~flip")
+    flipped = lambda u: psi(1 - u)
     name = kind.strip().lower().replace("_", "-")
     if name == "alpha1-to-gauss":
-        lhs = apply_transfer(ONE, s, oracle, y, cfg)
-        rhs = apply_transfer(ZERO, s, flipped, y, cfg)
+        lhs = apply_transfer(ONE, s, psi, y, inner_max)
+        rhs = apply_transfer(ZERO, s, flipped, y, inner_max)
     elif name == "half-plus-to-minus":
-        lhs = apply_transfer(HALF_PLUS, s, oracle, y, cfg)
-        rhs = apply_transfer(HALF_MINUS, s, flipped, y, cfg)
+        lhs = apply_transfer(HALF_PLUS, s, psi, y, inner_max)
+        rhs = apply_transfer(HALF_MINUS, s, flipped, y, inner_max)
     else:
         raise DomainError(f"unknown equivalence kind {kind!r}")
     return lhs, rhs
 
 
-def hurwitz_image(kind: str, s: float, y: float,
-                  n_terms: int = 200_000) -> SeriesValue:
+_IMAGE_TERMS = 200_000
+
+
+def hurwitz_image(kind: str, s: float, y: float) -> SeriesValue:
     """Closed shifted-power-sum form of the operator applied to the
     constant function 1, for the two rational parameters that admit one."""
     if s <= 0.5:
@@ -558,10 +513,10 @@ def hurwitz_image(kind: str, s: float, y: float,
         raise DomainError("evaluation point must be positive")
     name = kind.strip().lower()
     if name == "alpha1":
-        return hurwitz_sum(2.0 * s, 1.0 + y, n_terms)
+        return hurwitz_sum(2.0 * s, 1.0 + y, _IMAGE_TERMS)
     if name == "half":
-        h1 = hurwitz_sum(2.0 * s, 2.0 * y + 1.0, n_terms)
-        h2 = hurwitz_sum(2.0 * s, y + 1.0, n_terms)
+        h1 = hurwitz_sum(2.0 * s, 2.0 * y + 1.0, _IMAGE_TERMS)
+        h2 = hurwitz_sum(2.0 * s, y + 1.0, _IMAGE_TERMS)
         scale = 2.0 ** (-2.0 * s)
         return SeriesValue((1.0 + y) ** (-2.0 * s) + h1.value - scale * h2.value,
                            h1.tail + scale * h2.tail)
@@ -572,8 +527,7 @@ def hurwitz_image(kind: str, s: float, y: float,
 # pushforward of the singular law
 
 
-def qmark_pushforward(alpha: ContinuedFraction, y,
-                      cfg: TransferConfig = DEFAULT_CONFIG) -> SeriesValue:
+def qmark_pushforward(alpha: ContinuedFraction, y) -> SeriesValue:
     """Distribution function of the branch-image law at y, accumulated as
     exact question-mark masses of branch image intervals.
 
@@ -582,7 +536,7 @@ def qmark_pushforward(alpha: ContinuedFraction, y,
     yq = Fraction(y)
     if not 0 <= yq <= 1:
         raise DomainError("y must lie in [0, 1]")
-    data = _levels(alpha, cfg.depth_max)
+    data = _levels(alpha)
 
     def qmark_of(fr: Fraction) -> Fraction:
         return minkowski_q(cf_from_rational(fr))
@@ -591,7 +545,7 @@ def qmark_pushforward(alpha: ContinuedFraction, y,
     covered = Fraction(0)
     done = False
     # exactness budget: 64 levels and 64 members per family
-    for lv, cap, _ in _walk(data.levels[:64], min(cfg.inner_max, 64)):
+    for lv, cap, _ in _walk(data.levels[:64], 64):
         members = [lv.interior_map(i) for i in range(1, cap + 1)]
         if lv.digit != INF:
             members.append(lv.boundary_map())
@@ -604,7 +558,7 @@ def qmark_pushforward(alpha: ContinuedFraction, y,
         if 1 - covered < Fraction(1, 10 ** 15):
             done = True
             break
-    if data.exhausted and not done and float(1 - covered) > cfg.tail_tol:
+    if data.exhausted and not done and float(1 - covered) > TAIL_TOL:
         raise TruncationExhausted(
             "parameter expansion has too few settled digits to cover the law")
     return SeriesValue(value, 1 - covered)

@@ -22,8 +22,7 @@ from .cf import (ContinuedFraction, ONE, agrees_on_settled, cf_complement,
 from .errors import DomainError, TruncationExhausted
 from .maps import (FIBONACCI_ALPHA, GAUSS_ALPHA, is_periodic_point, jimm,
                    t_alpha_step)
-from .transfer import (DEFAULT_CONFIG, HALF_MINUS, FunctionOracle,
-                       TransferConfig, apply_transfer, closed_form_density,
+from .transfer import (HALF_MINUS, apply_transfer, closed_form_density,
                        gkw_matrix, hurwitz_image, leading_eigen,
                        qmark_pushforward, residual_b, residual_fib_threeterm,
                        residual_k_minus, residual_kernel_eta, residual_lewis,
@@ -64,30 +63,32 @@ def all_passed(checks) -> bool:
     return all(c.passed for c in checks)
 
 
+def _worst(rows) -> tuple:
+    """The (gap, bound, ...) row whose gap most exceeds its bound, the
+    first one on ties."""
+    return max(rows, key=lambda row: float(row[0] - row[1]))
+
+
 # ---------------------------------------------------------------------------
 # densities: closed-form fixed functions of the weight-1 operator
 
 
-def suite_densities(cfg: TransferConfig = DEFAULT_CONFIG,
-                    tol: Optional[float] = None,
-                    n_points: int = 20) -> list[CheckResult]:
+_DENSITY_POINTS = 20
+
+
+def suite_densities(tol: Optional[float] = None) -> list[CheckResult]:
     base = 1e-8 if tol is None else tol
-    ys = np.linspace(0.05, 0.95, n_points)
     out = []
     for label, alpha, which, k in DENSITY_PAIRS:
         psi = closed_form_density(which, K=k)
-        worst_margin = -math.inf
-        worst = (0.0, 0.0, 0.0)
-        for y in ys:
-            got = apply_transfer(alpha, 1.0, psi, float(y), cfg)
-            gap = abs(got.value - float(psi(float(y))))
-            bound = base + got.tail
-            if gap - bound > worst_margin:
-                worst_margin = gap - bound
-                worst = (gap, bound, float(y))
-        out.append(_check(f"density-{label}", worst[0], worst[1],
-                          f"{n_points} points in [0.05,0.95], worst at "
-                          f"y={worst[2]:.2f}"))
+        rows = []
+        for y in np.linspace(0.05, 0.95, _DENSITY_POINTS).tolist():
+            got = apply_transfer(alpha, 1.0, psi, y)
+            rows.append((abs(got.value - float(psi(y))), base + got.tail, y))
+        gap, bound, y = _worst(rows)
+        out.append(_check(f"density-{label}", gap, bound,
+                          f"{_DENSITY_POINTS} points in [0.05,0.95], worst "
+                          f"at y={y:.2f}"))
     return out
 
 
@@ -95,19 +96,18 @@ def suite_densities(cfg: TransferConfig = DEFAULT_CONFIG,
 # equations: functional-equation residuals
 
 
-def _discretized_half_eigen(cfg: TransferConfig):
+def _discretized_half_eigen():
     # the eigenfunction is singular at 0, so the refinement distance is
     # measured on the window the five-point identity actually touches
-    lam64, d64 = leading_eigen(gkw_matrix(HALF_MINUS, 1.0, 64, cfg))
-    lam128, d128 = leading_eigen(gkw_matrix(HALF_MINUS, 1.0, 128, cfg))
+    lam64, d64 = leading_eigen(gkw_matrix(HALF_MINUS, 1.0, 64))
+    lam128, d128 = leading_eigen(gkw_matrix(HALF_MINUS, 1.0, 128))
     window = (d128.nodes >= 0.1) & (d128.nodes <= 0.9)
     sup = float(np.max(np.abs(d64(d128.nodes[window]) - d128.values[window])))
     disc = max(abs(lam64 - 1.0), sup)
     return d64, disc
 
 
-def suite_equations(cfg: TransferConfig = DEFAULT_CONFIG,
-                    tol: Optional[float] = None) -> list[CheckResult]:
+def suite_equations(tol: Optional[float] = None) -> list[CheckResult]:
     base = 1e-12 if tol is None else tol
     out = []
 
@@ -135,13 +135,13 @@ def suite_equations(cfg: TransferConfig = DEFAULT_CONFIG,
     out.append(_check("kernel-eta-exact", worst, 0.0,
                       "eta(y)=1/y at rational points, exact arithmetic"))
 
-    grid, disc = _discretized_half_eigen(cfg)
+    grid, disc = _discretized_half_eigen()
 
     def extended(u):
         u = float(u)
         if u <= 1.0:
             return float(grid(u))
-        return apply_transfer(HALF_MINUS, 1.0, grid.oracle(), u, cfg).value
+        return apply_transfer(HALF_MINUS, 1.0, grid, u).value
 
     worst = max(abs(residual_k_minus(extended, 1, 2, y))
                 for y in (0.2, 0.4, 0.6, 0.8))
@@ -166,12 +166,15 @@ def suite_equations(cfg: TransferConfig = DEFAULT_CONFIG,
 # conjugacy: the digit-rewrite involution intertwines the members
 
 
-def suite_conjugacy(n_samples: int = 500, depth: int = 30,
-                    seed: int = 9) -> list[CheckResult]:
-    rng = random.Random(seed)
+_CONJUGACY_SAMPLES, _CONJUGACY_DEPTH, _CONJUGACY_SEED = 500, 30, 9
+
+
+def suite_conjugacy() -> list[CheckResult]:
+    depth = _CONJUGACY_DEPTH
+    rng = random.Random(_CONJUGACY_SEED)
     fail_round = fail_twine = skipped = 0
     min_settled = depth
-    for _ in range(n_samples):
+    for _ in range(_CONJUGACY_SAMPLES):
         digits = tuple(rng.randint(1, 8) for _ in range(depth))
         x = ContinuedFraction(digits, (), False)
         try:
@@ -191,7 +194,7 @@ def suite_conjugacy(n_samples: int = 500, depth: int = 30,
             skipped += 1
     return [
         _check("conjugacy-involution", fail_round, 0,
-               f"{n_samples} truncated depth-{depth} expansions"),
+               f"{_CONJUGACY_SAMPLES} truncated depth-{depth} expansions"),
         _check("conjugacy-intertwine", fail_twine, 0,
                "rewrite-map-rewrite against the golden-parameter step"),
         _check("conjugacy-settled-floor", depth - min_settled, 12,
@@ -216,23 +219,20 @@ def _complement_conjugacy() -> CheckResult:
 # 50 000 members per infinite family instead of the default 200 000 cut
 # the row's time about tenfold; the tails stay below 1e-9, far under the
 # O(1) gap a wrong conjugation leaves
-_EQUIVALENCE_CONFIG = TransferConfig(inner_max=50_000)
+_EQUIVALENCE_INNER_MAX = 50_000
 
 
 def _complement_operators() -> CheckResult:
     psi = closed_form_density("gauss")
-    worst_margin = -math.inf
-    worst = (0.0, 0.0)
+    rows = []
     for kind in ("alpha1-to-gauss", "half-plus-to-minus"):
         for y in (0.3, 0.7):
             lhs, rhs = transfer_equivalences(kind, psi, 1.0, y,
-                                             _EQUIVALENCE_CONFIG)
-            gap = abs(lhs.value - rhs.value)
-            bound = lhs.tail + rhs.tail + 1e-12
-            if gap - bound > worst_margin:
-                worst_margin = gap - bound
-                worst = (gap, bound)
-    return _check("complement-operators", worst[0], worst[1],
+                                             _EQUIVALENCE_INNER_MAX)
+            rows.append((abs(lhs.value - rhs.value),
+                         lhs.tail + rhs.tail + 1e-12))
+    gap, bound = _worst(rows)
+    return _check("complement-operators", gap, bound,
                   "both operator conjugations on the classical density at "
                   "y=0.3, 0.7; bound = tails + 1e-12")
 
@@ -248,7 +248,7 @@ def _sorted_rationals(count: int) -> list[Fraction]:
     return pool[::step][:count]
 
 
-def suite_qmark(cfg: TransferConfig = DEFAULT_CONFIG) -> list[CheckResult]:
+def suite_qmark() -> list[CheckResult]:
     out = []
     want = {Fraction(1, 2): Fraction(1, 2), Fraction(1, 3): Fraction(1, 4),
             Fraction(2, 5): Fraction(3, 8)}
@@ -268,20 +268,17 @@ def suite_qmark(cfg: TransferConfig = DEFAULT_CONFIG) -> list[CheckResult]:
     out.append(_check("qmark-reflection", bad, 0,
                       "?(x) + ?(1-x) = 1 exactly on 50 rationals"))
 
-    worst_margin = -math.inf
-    worst_gap, worst_tail, worst_at = Fraction(0), Fraction(0), ""
+    rows = []
     for label, alpha in (("classical", GAUSS_ALPHA),
                          ("golden", FIBONACCI_ALPHA),
                          ("half-minus", HALF_MINUS)):
         for y in (Fraction(1, 3), Fraction(2, 5), Fraction(5, 8), Fraction(1)):
-            got = qmark_pushforward(alpha, y, cfg)
+            got = qmark_pushforward(alpha, y)
             gap = abs(got.value - minkowski_q(cf_from_rational(y)))
-            if float(gap - got.tail) > worst_margin:
-                worst_margin = float(gap - got.tail)
-                worst_gap, worst_tail = gap, got.tail
-                worst_at = f"{label}, y={y}"
-    out.append(_check("qmark-pushforward", float(worst_gap), float(worst_tail),
-                      f"three parameters, four points; worst at {worst_at}"))
+            rows.append((gap, got.tail, f"{label}, y={y}"))
+    gap, tail, where = _worst(rows)
+    out.append(_check("qmark-pushforward", gap, tail,
+                      f"three parameters, four points; worst at {where}"))
 
     bad = 0
     for x, v in zip(pts, vals):
@@ -298,21 +295,19 @@ def suite_qmark(cfg: TransferConfig = DEFAULT_CONFIG) -> list[CheckResult]:
 # zeta: shifted power sums and the two-variable series
 
 
-def suite_zeta(cfg: TransferConfig = DEFAULT_CONFIG,
-               tol: Optional[float] = None) -> list[CheckResult]:
+def suite_zeta(tol: Optional[float] = None) -> list[CheckResult]:
     base = 1e-9 if tol is None else tol
     out = []
 
-    worst_gap, worst_bound = -math.inf, 0.0
+    rows = []
     for z, a in ((1.5, 0.7), (2.0, 1.0), (3.0, 0.5), (2.5, 2.0)):
         lhs, rhs = hurwitz_zeta(z, a), hurwitz_zeta(z, a + 1.0)
-        gap = abs(lhs.value - rhs.value - a ** (-z))
-        bound = lhs.tail + rhs.tail + 32.0 * EPS * (abs(lhs.value)
-                                                    + abs(rhs.value)
-                                                    + a ** (-z))
-        if gap - bound > worst_gap - worst_bound:
-            worst_gap, worst_bound = gap, bound
-    out.append(_check("hurwitz-shift", worst_gap, worst_bound,
+        rows.append((abs(lhs.value - rhs.value - a ** (-z)),
+                     lhs.tail + rhs.tail + 32.0 * EPS * (abs(lhs.value)
+                                                         + abs(rhs.value)
+                                                         + a ** (-z))))
+    gap, bound = _worst(rows)
+    out.append(_check("hurwitz-shift", gap, bound,
                       "difference at consecutive shifts equals a^(-z); "
                       "bound = tails + rounding allowance"))
 
@@ -320,25 +315,23 @@ def suite_zeta(cfg: TransferConfig = DEFAULT_CONFIG,
     out.append(_check("fib-zeta-doubling", abs(a.value - b.value), base,
                       f"value {a.value:.12f} stable under doubled truncation"))
 
-    worst_gap, worst_bound = -math.inf, 0.0
+    rows = []
     for s in np.linspace(1.0, 3.0, 5):
         for t in np.linspace(0.0, 2.0, 5):
             for x in np.linspace(0.5, 2.0, 5):
                 r = fib_functional_eq_residual(float(s), float(t), float(x))
-                if abs(r.value) - r.tail > worst_gap - worst_bound:
-                    worst_gap, worst_bound = abs(r.value), r.tail
-    out.append(_check("fib-functional-eq", worst_gap, worst_bound,
+                rows.append((abs(r.value), r.tail))
+    gap, bound = _worst(rows)
+    out.append(_check("fib-functional-eq", gap, bound,
                       "125-point grid over s in [1,3], t in [0,2], "
                       "x in [1/2,2]"))
 
-    one = FunctionOracle(lambda u: np.ones_like(np.asarray(u, dtype=float)),
-                         vectorized=True, label="1")
     worst = -math.inf
     for kind, alpha in (("alpha1", ONE), ("half", HALF_MINUS)):
         for s in (1.0, 1.5):
             for y in (0.3, 0.7, 1.0):
                 img = hurwitz_image(kind, s, y)
-                branch = apply_transfer(alpha, s, one, y, cfg)
+                branch = apply_transfer(alpha, s, np.ones_like, y)
                 worst = max(worst, abs(img.value - branch.value))
     out.append(_check("image-identities", worst, base,
                       "shifted-power closed forms against direct branch "
@@ -350,11 +343,11 @@ def suite_zeta(cfg: TransferConfig = DEFAULT_CONFIG,
 # helper suites reused by the acceptance tests (not CLI-exposed)
 
 
-def suite_matrix(cfg: TransferConfig = DEFAULT_CONFIG) -> list[CheckResult]:
+def suite_matrix() -> list[CheckResult]:
     target = closed_form_density("gauss")
     lam_err, sup_err = {}, {}
     for n in (32, 64, 128, 256):
-        lam, dens = leading_eigen(gkw_matrix(GAUSS_ALPHA, 1.0, n, cfg))
+        lam, dens = leading_eigen(gkw_matrix(GAUSS_ALPHA, 1.0, n))
         lam_err[n] = abs(lam - 1.0)
         sup_err[n] = float(np.max(np.abs(dens.values - target(dens.nodes))))
     steps = ((64, 32), (128, 64), (256, 128))

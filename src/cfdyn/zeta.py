@@ -14,7 +14,7 @@ import sys
 from .cf import ContinuedFraction
 from .errors import ConvergenceError, DomainError
 from .series import SeriesValue, fibonacci, hurwitz_sum
-from .transfer import DEFAULT_CONFIG, FunctionOracle, TransferConfig, apply_transfer
+from .transfer import apply_transfer
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -25,8 +25,8 @@ def hurwitz_zeta(z: float, a: float, n_terms: int = 100_000) -> SeriesValue:
     return hurwitz_sum(z, a, n_terms)
 
 
-def zeta_alpha(alpha: ContinuedFraction, s: float, t: float, y: float,
-               cfg: TransferConfig = DEFAULT_CONFIG) -> SeriesValue:
+def zeta_alpha(alpha: ContinuedFraction, s: float, t: float,
+               y: float) -> SeriesValue:
     """Branch sum  sum_b |b'(y)|^s b(y)^t  over the inverse branches of
     the parameter's map: the transfer operator applied to u^t."""
     if not 0 < y <= 1:
@@ -37,7 +37,7 @@ def zeta_alpha(alpha: ContinuedFraction, s: float, t: float, y: float,
     def power(u):
         return u ** t
 
-    return apply_transfer(alpha, s, FunctionOracle(power, True, f"u^{t}"), y, cfg)
+    return apply_transfer(alpha, s, power, y)
 
 
 def _fib_term_log(k: int, y: float) -> tuple:

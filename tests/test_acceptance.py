@@ -15,7 +15,6 @@ import numpy as np
 from cfdyn import cli, verify
 from cfdyn.lyapunov import monte_carlo_lyapunov
 from cfdyn.maps import FIBONACCI_ALPHA, GAUSS_ALPHA
-from cfdyn.transfer import DEFAULT_CONFIG
 
 GOLDEN_CSV = os.path.join(os.path.dirname(__file__), "golden",
                           "heatmap_n16_k1.csv")
@@ -38,7 +37,7 @@ def _suite_detail(checks, elapsed=None):
 
 def test_criterion_1_closed_form_densities(criterion_report):
     start = time.perf_counter()
-    checks = verify.suite_densities(DEFAULT_CONFIG)
+    checks = verify.suite_densities()
     elapsed = time.perf_counter() - start
     ok = verify.all_passed(checks) and elapsed < 10.0
     line = criterion_report(1, ok, _suite_detail(checks, elapsed))
@@ -47,7 +46,7 @@ def test_criterion_1_closed_form_densities(criterion_report):
 
 def test_criterion_2_discretized_operator(criterion_report):
     start = time.perf_counter()
-    checks = verify.suite_matrix(DEFAULT_CONFIG)
+    checks = verify.suite_matrix()
     elapsed = time.perf_counter() - start
     by_name = {c.name: c for c in checks}
     ok = verify.all_passed(checks) and elapsed < 30.0
@@ -62,7 +61,7 @@ def test_criterion_2_discretized_operator(criterion_report):
 
 def test_criterion_3_conjugacy_random_sweep(criterion_report):
     start = time.perf_counter()
-    checks = verify.suite_conjugacy(n_samples=500, depth=30, seed=9)
+    checks = verify.suite_conjugacy()
     elapsed = time.perf_counter() - start
     ok = verify.all_passed(checks) and elapsed < 5.0
     line = criterion_report(
@@ -113,21 +112,21 @@ def test_criterion_5_lyapunov_constants(criterion_report):
 
 
 def test_criterion_6_question_mark_suite(criterion_report):
-    checks = verify.suite_qmark(DEFAULT_CONFIG)
+    checks = verify.suite_qmark()
     ok = verify.all_passed(checks)
     line = criterion_report(6, ok, _suite_detail(checks))
     assert ok, line
 
 
 def test_criterion_7_functional_equation_residuals(criterion_report):
-    checks = verify.suite_equations(DEFAULT_CONFIG)
+    checks = verify.suite_equations()
     ok = verify.all_passed(checks)
     line = criterion_report(7, ok, _suite_detail(checks))
     assert ok, line
 
 
 def test_criterion_8_zeta_suite(criterion_report):
-    checks = verify.suite_zeta(DEFAULT_CONFIG)
+    checks = verify.suite_zeta()
     ok = verify.all_passed(checks)
     line = criterion_report(8, ok, _suite_detail(checks))
     assert ok, line

@@ -81,6 +81,13 @@ class TestMapEval:
                          "--x", "[0;4,...]", "--iter", "3"])
         assert code == 3
 
+    def test_negative_iter_exit_code(self, capsys):
+        # as `cfdyn orbit --iter -1` does
+        assert cli.main(["map-eval", "--alpha", "0", "--x", "2/5",
+                         "--iter", "-1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--iter" in err
+
 
 class TestOrbitCommand:
     def test_prints_states(self, capsys):
@@ -182,6 +189,21 @@ class TestVerifyCommand:
         assert {c["name"] for c in report["suites"]["qmark"]} >= {
             "qmark-dyadic-values", "qmark-monotone", "qmark-pushforward",
             "qmark-binary-word"}
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf", "-inf"])
+    def test_bad_tolerance_exit_code(self, tol, capsys, tmp_path):
+        # rejected before any suite runs: exit 2, not a verification failure
+        out = tmp_path / "report.json"
+        code = cli.main(["verify", "--suite", "zeta", f"--tol={tol}",
+                         "--out", str(out)])
+        assert code == 2
+        assert "--tol" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_tolerance_runs(self, capsys):
+        code = cli.main(["verify", "--suite", "zeta", "--tol", "0"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == (0 if report["passed"] else 1)
 
 
 class TestHeatmap:

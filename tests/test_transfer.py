@@ -26,32 +26,23 @@ PELL = ContinuedFraction((), (2,))
 LOG2 = math.log(2.0)
 
 
-def small_cfg(depth=8, inner=40):
-    return tr.TransferConfig(depth_max=depth, inner_max=inner)
-
-
 class TestConfig:
-    def test_defaults(self):
-        cfg = tr.TransferConfig()
-        assert cfg.depth_max == 200
-        assert cfg.inner_max == 200_000
-
     @pytest.mark.parametrize("kw", [
-        dict(depth_max=0), dict(inner_max=0), dict(tail_tol=0.0),
-        dict(tail_tol=-1e-3),
+        dict(inner_max=0), dict(inner_max=-1), dict(inner_max=1.5),
     ])
     def test_rejects_bad_budgets(self, kw):
+        # a fractional cap sums members 1..2 but starts the tail at 2.5
         with pytest.raises(DomainError):
-            tr.TransferConfig(**kw)
+            tr.apply_transfer(ZERO, 1.0, lambda u: 1.0, 0.5, **kw)
 
 
-def walk_branches(alpha, cfg):
-    """(kind, depth, map) rows of the shared inverse-branch walk, each
-    level's interior members before its boundary branch, up to the walk's
-    end: the branch order apply_transfer and qmark_pushforward sum in."""
+def walk_branches(alpha, depth=8, inner=40):
+    """(kind, depth, map) rows of the shared inverse-branch walk over the
+    first `depth` levels with `inner` members per family, each level's
+    interior members before its boundary branch: the branch order
+    apply_transfer and qmark_pushforward sum in."""
     rows = []
-    for lv, m, _ in tr._walk(tr._levels(alpha, cfg.depth_max).levels,
-                             cfg.inner_max):
+    for lv, m, _ in tr._walk(tr._levels(alpha).levels[:depth], inner):
         rows += [("interior", lv.depth, lv.interior_map(i))
                  for i in range(1, m + 1)]
         if lv.digit != math.inf:
@@ -59,34 +50,32 @@ def walk_branches(alpha, cfg):
     return rows
 
 
-def matrix_rows(alpha, cfg):
+def matrix_rows(alpha, depth=8, inner=40):
     return [(kind, depth, (b.a, b.b, b.c, b.d))
-            for kind, depth, b in walk_branches(alpha, cfg)]
+            for kind, depth, b in walk_branches(alpha, depth, inner)]
 
 
 class TestBranches:
     def test_gauss_is_one_infinite_family(self):
-        assert matrix_rows(ZERO, small_cfg(inner=5)) == [
+        assert matrix_rows(ZERO, inner=5) == [
             ("interior", 1, (0, 1, 1, i)) for i in range(1, 6)]
-        (lv, m, lumped), = tr._walk(tr._levels(ZERO, 8).levels, 5)
+        (lv, m, lumped), = tr._walk(tr._levels(ZERO).levels, 5)
         assert (lv.digit, m, lumped) == (math.inf, 5, True)
 
     def test_alpha_one_boundary_then_family(self):
-        rows = [(kind, mat)
-                for kind, _, mat in matrix_rows(ONE, small_cfg(inner=3))]
+        rows = [(kind, mat) for kind, _, mat in matrix_rows(ONE, inner=3)]
         assert rows[0] == ("boundary", (1, 0, 1, 1))
         assert rows[1:] == [("interior", (1, i, 1, i + 1)) for i in (1, 2, 3)]
 
     def test_golden_is_all_boundaries(self):
-        rows = [(kind, mat)
-                for kind, _, mat in matrix_rows(GOLDEN, small_cfg(depth=5))]
+        rows = [(kind, mat) for kind, _, mat in matrix_rows(GOLDEN, depth=5)]
         fib = [1, 1, 2, 3, 5, 8]  # F_1..F_6
         want = [("boundary", (fib[k], fib[k - 1] if k else 0, fib[k + 1], fib[k]))
                 for k in range(5)]
         assert rows == want
 
     def test_pell_rows(self):
-        assert matrix_rows(PELL, small_cfg(depth=3)) == [
+        assert matrix_rows(PELL, depth=3) == [
             ("interior", 1, (0, 1, 1, 1)), ("boundary", 1, (1, 0, 2, 1)),
             ("interior", 2, (1, 1, 2, 3)), ("boundary", 2, (2, 1, 5, 2)),
             ("interior", 3, (2, 3, 5, 7)), ("boundary", 3, (5, 2, 12, 5)),
@@ -96,18 +85,18 @@ class TestBranches:
         # applying the forward map to any branch image must return y
         y = Fraction(3, 10)
         for alpha in (ZERO, ONE, GOLDEN, PELL, tr.HALF_MINUS, tr.HALF_PLUS):
-            for _, _, b in walk_branches(alpha, small_cfg(depth=4, inner=4)):
+            for _, _, b in walk_branches(alpha, depth=4, inner=4):
                 x = cf_from_rational(b.apply(y))
                 assert cf_to_rational(t_alpha_step(alpha, x)) == y
 
     def test_rational_parameter_is_one_family_past_its_depth(self):
         # [0;2] = one interior + one boundary at depth 1, then a single
         # infinite interior family at depth 2 and nothing deeper
-        branches = walk_branches(tr.HALF_MINUS, small_cfg(inner=25))
+        branches = walk_branches(tr.HALF_MINUS, inner=25)
         assert sum(kind == "boundary" for kind, _, _ in branches) == 1
         assert max(depth for _, depth, _ in branches) == 2
         assert sum(depth == 2 for _, depth, _ in branches) == 25
-        data = tr._levels(tr.HALF_MINUS, 8)
+        data = tr._levels(tr.HALF_MINUS)
         assert data.complete and not data.exhausted
         lumped = [lumped for _, _, lumped in tr._walk(data.levels, 25)]
         assert lumped == [False, True]
@@ -117,27 +106,32 @@ class TestBranches:
         # boundary branch each, and the data reports the missing digits;
         # the operators then raise rather than return a short sum
         stub = ContinuedFraction((2, 2, 2), exact=False)
-        assert len(walk_branches(stub, small_cfg())) == 6
-        assert tr._levels(stub, 8).exhausted
+        assert len(walk_branches(stub)) == 6
+        assert tr._levels(stub).exhausted
         with pytest.raises(TruncationExhausted):
-            tr.apply_transfer(stub, 1.0, lambda u: 1.0, 0.5, small_cfg())
+            tr.apply_transfer(stub, 1.0, lambda u: 1.0, 0.5)
         with pytest.raises(TruncationExhausted):
-            tr.qmark_pushforward(stub, Fraction(1, 2), small_cfg())
+            tr.qmark_pushforward(stub, Fraction(1, 2))
+        with pytest.raises(TruncationExhausted):
+            tr.gkw_matrix(stub, 1.0, 16)
 
     def test_truncated_parameter_ok_when_weight_stopped(self):
-        # the last settled level's weight 1/q^2 = 1/25 is below the
-        # tolerance, so the missing digits cannot matter
-        stub = ContinuedFraction((2, 2, 2), exact=False)
-        cfg = tr.TransferConfig(depth_max=8, inner_max=8, tail_tol=0.1)
-        got = tr.apply_transfer(stub, 1.0, lambda u: 1.0, 0.5, cfg)
+        # 40 settled ones: the last level weighs 1/q^2 ~ 1e-16, below
+        # TAIL_TOL, so the missing digits cannot matter; 30 leave ~1e-12
+        stub = ContinuedFraction((1,) * 40, exact=False)
+        assert tr._levels(stub).exhausted
+        got = tr.apply_transfer(stub, 1.0, lambda u: 1.0, 0.5)
         assert math.isfinite(got.value) and math.isfinite(got.tail)
+        with pytest.raises(TruncationExhausted):
+            tr.apply_transfer(ContinuedFraction((1,) * 30, exact=False),
+                              1.0, lambda u: 1.0, 0.5)
 
     def test_image_intervals_disjoint_and_tiling(self):
         # branch images of (0,1) must not overlap, and their total length
         # must grow toward 1 as the budget grows
         def covered(alpha, depth, inner):
             ivals = []
-            for _, _, b in walk_branches(alpha, small_cfg(depth, inner)):
+            for _, _, b in walk_branches(alpha, depth, inner):
                 lo = Fraction(b.b, b.d)
                 hi = Fraction(b.a + b.b, b.c + b.d)
                 ivals.append((min(lo, hi), max(lo, hi)))
@@ -160,17 +154,17 @@ class TestApply:
     def test_gauss_density_fixed(self):
         psi = tr.closed_form_density("gauss")
         got = tr.apply_transfer(ZERO, 1.0, psi, 0.5)
-        assert abs(got.value - psi.fn(0.5)) <= got.tail + 1e-9
+        assert abs(got.value - psi(0.5)) <= got.tail + 1e-9
 
     def test_golden_density_fixed(self):
         psi = tr.closed_form_density("fibonacci")
         got = tr.apply_transfer(GOLDEN, 1.0, psi, 0.42)
-        assert abs(got.value - psi.fn(0.42)) <= got.tail + 1e-9
+        assert abs(got.value - psi(0.42)) <= got.tail + 1e-9
 
     def test_k_series_two_fixed(self):
         psi = tr.closed_form_density("k_series", K=2)
         got = tr.apply_transfer(PELL, 1.0, psi, 0.5)
-        assert abs(got.value - psi.fn(0.5)) <= got.tail + 1e-8
+        assert abs(got.value - psi(0.5)) <= got.tail + 1e-8
 
     def test_diverges_below_half(self):
         with pytest.raises(DomainError):
@@ -180,13 +174,14 @@ class TestApply:
         with pytest.raises(DomainError):
             tr.apply_transfer(ZERO, 1.0, lambda u: 1.0, 0.0)
 
-    def test_plain_callable_matches_oracle(self):
-        plain = tr.apply_transfer(ZERO, 1.0, lambda u: 1.0 / (1.0 + u), 0.5,
-                                  small_cfg(inner=500))
-        wrapped = tr.apply_transfer(
-            ZERO, 1.0, tr.FunctionOracle(lambda u: 1.0 / (1.0 + u), True), 0.5,
-            small_cfg(inner=500))
-        assert plain.value == pytest.approx(wrapped.value, abs=1e-14)
+    @pytest.mark.parametrize("alpha", [ZERO, ONE, GOLDEN, tr.HALF_MINUS],
+                             ids=["0", "1", "(1)", "1/2"])
+    def test_scalar_psi_matches_ones_like(self, alpha):
+        # psi is called on arrays of branch images; a constant that comes
+        # back as one Python float must broadcast to the same sum
+        scalar = tr.apply_transfer(alpha, 1.0, lambda u: 1.0, 0.5, 500)
+        array = tr.apply_transfer(alpha, 1.0, np.ones_like, 0.5, 500)
+        assert scalar == array
 
     def test_truncated_parameter_raises(self):
         stub = ContinuedFraction((2, 2), exact=False)
@@ -201,13 +196,12 @@ class TestApply:
     @settings(max_examples=30, deadline=None)
     @given(a=st.floats(-2, 2), b=st.floats(-2, 2))
     def test_linearity(self, a, b):
-        cfg = small_cfg(inner=200)
-        f = tr.FunctionOracle(lambda u: 1.0 / (1.0 + u), True)
-        g = tr.FunctionOracle(lambda u: u * u, True)
-        combo = tr.FunctionOracle(lambda u: a / (1.0 + u) + b * u * u, True)
-        lhs = tr.apply_transfer(ZERO, 1.0, combo, 0.4, cfg)
-        rhs = (a * tr.apply_transfer(ZERO, 1.0, f, 0.4, cfg).value
-               + b * tr.apply_transfer(ZERO, 1.0, g, 0.4, cfg).value)
+        f = lambda u: 1.0 / (1.0 + u)
+        g = lambda u: u * u
+        combo = lambda u: a / (1.0 + u) + b * u * u
+        lhs = tr.apply_transfer(ZERO, 1.0, combo, 0.4, 200)
+        rhs = (a * tr.apply_transfer(ZERO, 1.0, f, 0.4, 200).value
+               + b * tr.apply_transfer(ZERO, 1.0, g, 0.4, 200).value)
         assert lhs.value == pytest.approx(rhs, abs=1e-10)
 
 
@@ -226,7 +220,7 @@ def brute_matrix_rows(alpha, s, n, rows, members=4_000_000, chunk=1 << 18):
         out[r] += np.bincount(idx + 1, w * frac, minlength=n + 1)
 
     for r, y in enumerate(ys[rows]):
-        for lv in tr._levels(alpha, 200).levels:
+        for lv in tr._levels(alpha).levels:
             if lv.q ** (-2.0 * s) < 1e-14:
                 break
             count = min(lv.digit - 1, members)
@@ -372,25 +366,21 @@ class TestGridDensity:
 class TestDensities:
     def test_gauss_at_zero(self):
         g = tr.closed_form_density("gauss")
-        assert g.fn(0.0) == pytest.approx(1.0 / LOG2)
+        assert g(0.0) == pytest.approx(1.0 / LOG2)
 
     def test_k_series_one_collapses(self):
         k1 = tr.closed_form_density("k_series", K=1)
         for y in np.linspace(0.05, 0.95, 19):
-            assert abs(k1.fn(float(y)) - 1.0 / (y * (y + 1.0))) < 2e-13
+            assert abs(k1(float(y)) - 1.0 / (y * (y + 1.0))) < 2e-13
 
     def test_k_series_one_at_half(self):
-        assert tr.closed_form_density("k_series", K=1).fn(0.5) == pytest.approx(4.0 / 3.0)
-
-    def test_labels(self):
-        assert tr.closed_form_density("gauss").label == "gauss"
-        assert tr.closed_form_density("k_series", K=3).label == "k_series_3"
+        assert tr.closed_form_density("k_series", K=1)(0.5) == pytest.approx(4.0 / 3.0)
 
     def test_vectorized(self):
         k2 = tr.closed_form_density("k_series", K=2)
-        arr = k2.fn(np.array([0.25, 0.5]))
+        arr = k2(np.array([0.25, 0.5]))
         assert arr.shape == (2,)
-        assert arr[0] == pytest.approx(k2.fn(0.25))
+        assert arr[0] == pytest.approx(k2(0.25))
 
     def test_rejects_bad_kind(self):
         with pytest.raises(DomainError):
@@ -460,7 +450,7 @@ class TestEquivalences:
         assert abs(lhs.value - rhs.value) <= lhs.tail + rhs.tail + 1e-9
 
     def test_half_plus_to_minus_quadratic(self):
-        psi = tr.FunctionOracle(lambda u: u * u, True)
+        psi = lambda u: u * u
         lhs, rhs = tr.transfer_equivalences("half-plus-to-minus", psi, 1.0, 0.37)
         assert abs(lhs.value - rhs.value) <= lhs.tail + rhs.tail + 1e-9
 
@@ -468,7 +458,7 @@ class TestEquivalences:
                                         (0.5, -1.0, 2.0, 0.25)])
     def test_polynomials(self, coeffs):
         c0, c1, c2, c3 = coeffs
-        psi = tr.FunctionOracle(lambda u: c0 + u * (c1 + u * (c2 + u * c3)), True)
+        psi = lambda u: c0 + u * (c1 + u * (c2 + u * c3))
         for kind in ("alpha1-to-gauss", "half-plus-to-minus"):
             lhs, rhs = tr.transfer_equivalences(kind, psi, 1.0, 0.61)
             assert abs(lhs.value - rhs.value) <= lhs.tail + rhs.tail + 1e-9
@@ -485,17 +475,15 @@ class TestEquivalences:
 
 class TestHurwitzImage:
     def test_matches_branch_sum_alpha_one(self):
-        one = tr.FunctionOracle(lambda u: np.ones_like(u), True)
         for s in (1.0, 1.5):
             img = tr.hurwitz_image("alpha1", s, 0.37)
-            branch = tr.apply_transfer(ONE, s, one, 0.37)
+            branch = tr.apply_transfer(ONE, s, np.ones_like, 0.37)
             assert abs(img.value - branch.value) <= 1e-9
 
     def test_matches_branch_sum_half(self):
-        one = tr.FunctionOracle(lambda u: np.ones_like(u), True)
         for s in (1.0, 1.5):
             img = tr.hurwitz_image("half", s, 0.37)
-            branch = tr.apply_transfer(tr.HALF_MINUS, s, one, 0.37)
+            branch = tr.apply_transfer(tr.HALF_MINUS, s, np.ones_like, 0.37)
             assert abs(img.value - branch.value) <= 1e-9
 
     def test_rejects_divergent_exponent(self):
