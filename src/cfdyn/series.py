@@ -1,9 +1,10 @@
-"""Shared numeric helpers: an exact Fibonacci table, Euler-Maclaurin
-tails for power sums, and the (value, tail) pair that every series
-evaluator in this package returns."""
+"""Shared numeric helpers: an exact Fibonacci table, the one
+Euler-Maclaurin engine behind every shifted power sum, and the
+(value, tail) pair that every series evaluator in this package returns."""
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -32,39 +33,44 @@ def fibonacci(k: int) -> int:
     return _FIB[k + 1]
 
 
-def power_tail(a: float, b, p: float, start) -> SeriesValue:
-    """Euler-Maclaurin estimate of sum_{i >= start} (a*i + b)^(-p).
-
-    Requires a > 0, p > 1 and a positive first summand.  The summand is
-    completely monotone in i, so the magnitude of the second-order
-    correction also bounds the remainder; it is returned as the tail.
-    b and start may be numpy arrays, giving elementwise estimates; an
-    infinite start gives 0.
-    """
-    if a <= 0 or p <= 1:
-        raise DomainError("need a > 0 and p > 1 for a convergent power tail")
-    u = a * start + b
-    if np.any(u <= 0):
-        raise DomainError("first summand must be positive")
-    integral = u ** (1.0 - p) / (a * (p - 1.0))
-    half = 0.5 * u ** -p
-    corr = a * p * u ** (-p - 1.0) / 12.0
-    return SeriesValue(integral + half + corr, corr)
+# 12 explicit summands, then B_{2k}/(2k)! for k = 1..7: six corrections
+# and the first omitted one, the tail
+_EXPLICIT = np.arange(12.0)
+_BERNOULLI = np.array([1 / 12, -1 / 720, 1 / 30240, -1 / 1209600,
+                       1 / 47900160, -691 / 1307674368000, 1 / 74724249600])
+_EVEN = 2.0 * np.arange(7)
 
 
-def hurwitz_sum(z: float, a: float, n_terms: int = 100_000) -> SeriesValue:
-    """sum_{k >= 0} (k + a)^(-z): direct summation of n_terms plus the
-    integral correction (n + a)^(1-z)/(z-1).
+def power_tail(a, b, p: float, start) -> SeriesValue:
+    """sum_{i >= start} (a*i + b)^(-p) by Euler-Maclaurin: 12 explicit
+    summands, the integral and six Bernoulli corrections.  The summand is
+    completely monotone in i, so the remainder lies below the first
+    omitted correction, returned as the tail (Olver, Asymptotics and
+    Special Functions, 1974, 8.3).  a, b and start may be numpy arrays,
+    giving elementwise sums; an infinite start gives 0.  At p = 1 the sum
+    diverges; the integral term -log(u)/a then makes the value at start 0
+    -(digamma(b/a) + log a)/a, and differences at one a converge."""
+    u0 = a * start + b
+    shape = np.shape(u0)
+    # numpy's array and scalar powers round differently, so scalars are
+    # summed as one-element arrays: a point's sum never depends on its batch
+    a, u0 = (np.array(v, dtype=float, ndmin=1)[..., None] for v in (a, u0))
+    if not (1 <= p < math.inf and a.min() > 0 and u0.min() > 0):
+        raise DomainError("need a > 0, summands > 0 and a finite p >= 1")
+    u = u0 + a * _EXPLICIT.size
+    integral = -np.log(u) / a if p == 1 else u ** (1.0 - p) / (a * (p - 1.0))
+    # the k-th correction: B_{2k}/(2k)! (p)_{2k-1} a^(2k-1) u^(1-p-2k)
+    coeffs = _BERNOULLI * np.cumprod(p + np.arange(13.0))[::2]
+    corr = coeffs * (a * u ** (-p - 1.0)) * (a / u) ** _EVEN
+    total = (np.add.reduce((u0 + a * _EXPLICIT) ** -p, axis=-1)
+             + np.add.reduce(corr[..., :-1], axis=-1)
+             + (integral + 0.5 * u ** -p)[..., 0])
+    tail = np.abs(corr[..., -1])
+    return SeriesValue(total.reshape(shape)[()], tail.reshape(shape)[()])
 
-    The correction leaves an error below the first omitted term, which
-    is reported as the tail."""
-    if z <= 1:
+
+def hurwitz_sum(z: float, a: float) -> SeriesValue:
+    """sum_{k >= 0} (k + a)^(-z), the Hurwitz zeta function."""
+    if not z > 1:
         raise DomainError("power sum diverges for exponent <= 1")
-    if a <= 0:
-        raise DomainError("shift must be positive")
-    if n_terms < 1:
-        raise DomainError("need at least one explicit term")
-    k = np.arange(n_terms, dtype=float)
-    partial = float(np.sum((k + a) ** -z))
-    u = n_terms + a
-    return SeriesValue(partial + u ** (1.0 - z) / (z - 1.0), u ** -z)
+    return power_tail(1.0, a, z, 0)

@@ -128,8 +128,9 @@ def _abs_at(psi: Callable, u: float) -> float:
 def _family_probe_sup(psi: Callable, lv: _Level, y: float, m: int) -> float:
     """Sup of |psi| over the dropped part of an arithmetic branch family,
     estimated at a few probe indices plus the family's limit point.  The
-    probed points bracket the tail image segment; for the monotone
-    densities used here the estimate is an upper bound."""
+    probed points bracket the tail image segment.  This is a heuristic,
+    not a certified bound: it holds when psi is monotone on that segment,
+    as the densities used here are, and nothing checks that it is."""
     sup = 0.0
     for i in (m + 1, m + 2, m + 4, m + 8, m + 16):
         z = y + i
@@ -148,9 +149,9 @@ def _family_tail_terms(psi: Callable, lv: _Level, y: float,
     cover mild non-monotone variation).  When psi cannot be evaluated at
     the limit the whole dropped mass goes into the bound instead."""
     # dropped weight: members m+1.. up to the family's end, if it has one
-    head = power_tail(lv.q, lv.q * y + lv.qq, 2.0 * s, m + 1)
-    cut = power_tail(lv.q, lv.q * y + lv.qq, 2.0 * s, lv.digit)
-    weight, werr = max(head.value - cut.value, 0.0), head.tail + cut.tail
+    (head, cut), tails = power_tail(lv.q, lv.q * y + lv.qq, 2.0 * s,
+                                    np.array([m + 1.0, lv.digit]))
+    weight, werr = max(head - cut, 0.0), float(np.sum(tails))
     limit = lv.p / lv.q
     try:
         at_limit = float(psi(limit))
@@ -182,8 +183,8 @@ def apply_transfer(alpha: ContinuedFraction, s: float, psi: Callable,
     y is normally in (0,1) but any positive y is accepted: every branch
     image stays inside (0,1), which is what lets grid eigenfunctions be
     extended past 1 through this very sum."""
-    if s <= 0.5:
-        raise DomainError("branch series diverges for s <= 1/2")
+    if not 0.5 < s < math.inf:
+        raise DomainError("branch series needs a finite s > 1/2")
     if not y > 0:
         raise DomainError("evaluation point must be positive")
     if not (isinstance(inner_max, numbers.Integral) and inner_max >= 1):
@@ -244,8 +245,8 @@ def gkw_matrix(alpha: ContinuedFraction, s: float, n: int) -> np.ndarray:
     end or to infinity, are grouped by the cell their images fall in."""
     if n < 16:
         raise DomainError("grid size must be >= 16")
-    if s <= 0.5:
-        raise DomainError("branch series diverges for s <= 1/2")
+    if not 0.5 < s < math.inf:
+        raise DomainError("branch series needs a finite s > 1/2")
     data = _levels(alpha)
     _require_settled(data, s)
     ys = np.linspace(0.0, 1.0, n + 1)[:, None]
@@ -362,34 +363,14 @@ def leading_eigen(m: np.ndarray, tol: float = 1e-12,
 # closed-form invariant densities
 
 
-_K_SERIES_TERMS = 20_000
-
-
 def _k_series_fn(K: int) -> Callable:
-    # psi_K(y) = sum_{i>=0} 1/((1+Kiy)(1+(Ki+1)y)) - 1/((y+Ki+K)(y+Ki+K+1)),
-    # capped at _K_SERIES_TERMS with Euler-Maclaurin closures of both tails.
-    # The closures are corrections, not bounds: their own error is smaller
-    # than the next Bernoulli term, far below 1e-12 at this cap.
     def fn(y):
-        arr = np.atleast_1d(np.asarray(y, dtype=float))
-        out = np.empty_like(arr)
-        ki = np.arange(_K_SERIES_TERMS, dtype=float) * K
-        for lo in range(0, arr.size, 256):
-            seg = arr[lo:lo + 256]
-            v = 1.0 + ki[None, :] * seg[:, None]
-            ssum = np.sum(1.0 / (v * (v + seg[:, None])), axis=1)
-            u = seg[:, None] + ki[None, :] + K
-            ssum -= np.sum(1.0 / (u * (u + 1.0)), axis=1)
-            vm = 1.0 + (K * _K_SERIES_TERMS) * seg
-            ssum += np.log1p(seg / vm) / (K * seg * seg)
-            ssum += 0.5 / (vm * (vm + seg))
-            ssum += K * seg * (2.0 * vm + seg) / (12.0 * (vm * (vm + seg)) ** 2)
-            um = seg + K * _K_SERIES_TERMS + K
-            ssum -= np.log1p(1.0 / um) / K
-            ssum -= 0.5 / (um * (um + 1.0))
-            ssum -= K * (2.0 * um + 1.0) / (12.0 * (um * (um + 1.0)) ** 2)
-            out[lo:lo + 256] = ssum
-        return out if np.ndim(y) else float(out[0])
+        # by partial fractions each half is a difference of two p = 1 sums
+        y = np.asarray(y, dtype=float)
+        one = np.ones_like(y)
+        sums = power_tail(K * np.stack((y, y, one, one)),
+                          np.stack((one, 1.0 + y, K + y, K + 1.0 + y)), 1, 0).value
+        return (sums[0] - sums[1]) / y - (sums[2] - sums[3])
 
     return fn
 
@@ -399,8 +380,12 @@ def closed_form_density(which: str, K: Optional[int] = None) -> Callable:
     (0, inf).
 
     kinds: "gauss" 1/((1+y) log 2); "alpha_one" 1/y; "fibonacci"
-    1/(y(y+1)); "k_series" the series density of the constant-digit-K
-    parameter (K=1 collapses to the fibonacci one, numerically)."""
+    1/(y(y+1)); "k_series" the density of the constant-digit-K parameter,
+    sum_{i>=0} 1/((1+Kiy)(1+(Ki+1)y)) - 1/((y+Ki+K)(y+Ki+K+1)) =
+    (D((1+y)/(Ky)) - D(1/(Ky)))/(K y^2) - (D((y+K+1)/K) - D((y+K)/K))/K,
+    D the digamma function, each difference being two p = 1 power sums
+    (K=1 gives the fibonacci one).  Their remainder, about 1e-16, is left
+    to the verify rows' rounding allowance."""
     kind = which.strip().lower()
     if kind == "gauss":
         return lambda y: 1.0 / ((1.0 + y) * LOG2)
@@ -501,22 +486,17 @@ def transfer_equivalences(kind: str, psi: Callable, s: float, y: float,
     return lhs, rhs
 
 
-_IMAGE_TERMS = 200_000
-
-
 def hurwitz_image(kind: str, s: float, y: float) -> SeriesValue:
     """Closed shifted-power-sum form of the operator applied to the
     constant function 1, for the two rational parameters that admit one."""
-    if s <= 0.5:
-        raise DomainError("the image series diverges for s <= 1/2")
     if not y > 0:
         raise DomainError("evaluation point must be positive")
     name = kind.strip().lower()
     if name == "alpha1":
-        return hurwitz_sum(2.0 * s, 1.0 + y, _IMAGE_TERMS)
+        return hurwitz_sum(2.0 * s, 1.0 + y)
     if name == "half":
-        h1 = hurwitz_sum(2.0 * s, 2.0 * y + 1.0, _IMAGE_TERMS)
-        h2 = hurwitz_sum(2.0 * s, y + 1.0, _IMAGE_TERMS)
+        h1 = hurwitz_sum(2.0 * s, 2.0 * y + 1.0)
+        h2 = hurwitz_sum(2.0 * s, y + 1.0)
         scale = 2.0 ** (-2.0 * s)
         return SeriesValue((1.0 + y) ** (-2.0 * s) + h1.value - scale * h2.value,
                            h1.tail + scale * h2.tail)

@@ -19,10 +19,7 @@ from .transfer import apply_transfer
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
 
-def hurwitz_zeta(z: float, a: float, n_terms: int = 100_000) -> SeriesValue:
-    """sum_{n>=0} (n+a)^(-z) by direct summation plus the integral tail
-    correction; the reported tail is the first omitted term."""
-    return hurwitz_sum(z, a, n_terms)
+hurwitz_zeta = hurwitz_sum   # sum_{n>=0} (n+a)^(-z), certified tail
 
 
 def zeta_alpha(alpha: ContinuedFraction, s: float, t: float,
@@ -31,8 +28,8 @@ def zeta_alpha(alpha: ContinuedFraction, s: float, t: float,
     the parameter's map: the transfer operator applied to u^t."""
     if not 0 < y <= 1:
         raise DomainError("y must lie in (0, 1]")
-    if 2.0 * s + t <= 1.0:
-        raise DomainError("branch sum diverges unless 2s+t > 1")
+    if not (abs(t) < math.inf and 2.0 * s + t > 1.0):
+        raise DomainError("branch sum needs a finite t and 2s+t > 1")
 
     def power(u):
         return u ** t

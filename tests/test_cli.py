@@ -133,6 +133,14 @@ class TestZetaCommand:
     def test_domain_error_exit(self, capsys):
         assert cli.main(["zeta", "--alpha", "0", "--s", "0.2"]) == 2
 
+    @pytest.mark.parametrize("argv", [["--s", "nan"], ["--s", "inf"],
+                                      ["--s", "1.5", "--t", "nan"],
+                                      ["--s", "1.5", "--t", "inf"]],
+                             ids=["s-nan", "s-inf", "t-nan", "t-inf"])
+    def test_non_finite_exponent_exit(self, argv, capsys):
+        assert cli.main(["zeta", "--alpha", "0"] + argv) == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestSpectrumCommand:
     def test_classical_report(self, capsys, tmp_path):
@@ -145,6 +153,11 @@ class TestSpectrumCommand:
         assert abs(lam - 1.0) < 1e-3
         assert "classical closed form" in text
         assert out.read_text().startswith("y,value")
+
+    @pytest.mark.parametrize("s", ["nan", "inf"])
+    def test_non_finite_exponent_exit(self, s, capsys):
+        argv = ["spectrum", "--alpha", "0", "--s", s, "--grid", "16"]
+        assert cli.main(argv) == 2
 
 
 class TestLyapunovCommand:
