@@ -18,14 +18,13 @@ from cfdyn.transfer import gkw_matrix, leading_eigen
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--grid", type=int, default=256)
-    ap.add_argument("--jobs", type=int, default=4)
     ap.add_argument("--density-grid", type=int, default=128)
     ap.add_argument("--out-dir", default="figures")
     args = ap.parse_args()
 
     os.makedirs(args.out_dir, exist_ok=True)
     for k in (1, 3):
-        values = cli.heatmap_values(args.grid, k, jobs=args.jobs)
+        values = cli.heatmap_values(args.grid, k)
         base = os.path.join(args.out_dir, "map_iterate_k%d" % k)
         with open(base + ".pgm", "wb") as fh:
             fh.write(cli.heatmap_pgm(values))

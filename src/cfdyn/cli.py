@@ -16,7 +16,6 @@ import os
 import re
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -106,23 +105,76 @@ def _atomic_text(path: str, data: str) -> None:
 # heatmap rendering
 
 
-def _heatmap_column(task) -> list:
-    n, k, variant, i = task
-    alpha = cf_from_rational(Fraction(2 * i + 1, 2 * n), variant=variant)
-    col = []
-    for j in range(n):
-        y = cf_from_rational(Fraction(2 * j + 1, 2 * n), variant=variant)
-        for _ in range(k):
-            y = t_alpha_step(alpha, y)
-        col.append(cf_value(y)[0])
-    return col
+# (parameter, point) pairs stepped as one block, so the digit arrays'
+# memory stays bounded at any grid size
+_BLOCK_CELLS = 8192
+
+
+def _grid_digits(n: int, variant: str) -> np.ndarray:
+    """Digits of the midpoints (2j+1)/2n, row j, by a vectorised Euclid.
+
+    Digits are >= 1, so 0 marks the end of a row; every row ends in at
+    least one 0 column.  The "plus" variant rewrites the last digit d
+    (always >= 2 for a point inside (0, 1)) as d-1, 1."""
+    p = np.arange(1, 2 * n, 2, dtype=np.int64)
+    q = np.full(n, 2 * n, dtype=np.int64)
+    cols = []
+    while p.any():
+        live = p > 0
+        d = np.where(live, q // np.maximum(p, 1), 0)
+        p, q = np.where(live, q - d * p, 0), p
+        cols.append(d)
+    digits = np.zeros((n, len(cols) + 2), dtype=np.int64)
+    digits[:, :len(cols)] = np.stack(cols, axis=1)
+    if variant == "plus":
+        rows, end = np.arange(n), np.count_nonzero(digits, axis=1)
+        digits[rows, end - 1] -= 1
+        digits[rows, end] = 1
+    return digits
+
+
+def _digit_step(alpha: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """One map step of the digit rows x under the parameter rows alpha.
+
+    The rule is `t_alpha_step`'s digit comparison: at the first index i
+    where the rows differ or x has ended, x ending gives 0, the parameter
+    ending or a smaller digit of x drops i+1 digits, and a larger digit b
+    against a drops i digits and sets the new first digit to b-a."""
+    i = np.argmax((x != alpha) | (x == 0), axis=-1)[..., None]
+    a = np.take_along_axis(alpha, i, axis=-1)
+    b = np.take_along_axis(x, i, axis=-1)
+    reduce = (b > a) & (a > 0)
+    # the last column is 0 in every row, so clipping shifts zeros in
+    last = x.shape[-1] - 1
+    shift = np.minimum(np.arange(last + 1) + i + 1 - reduce, last)
+    y = np.take_along_axis(x, shift, axis=-1)
+    y[..., :1] -= np.where(reduce, a, 0)
+    return y
+
+
+def _digit_values(x: np.ndarray) -> np.ndarray:
+    """Values of digit rows: the p/q recurrence in int64, then one float
+    division.  p and q stay below 2^53, so p / q is correctly rounded,
+    as `cf_value`'s division of Python ints is."""
+    pm1, p = np.ones(x.shape[:-1], np.int64), np.zeros(x.shape[:-1], np.int64)
+    qm1, q = np.zeros_like(p), np.ones_like(p)
+    for a in np.moveaxis(x, -1, 0):
+        live = a > 0
+        p, pm1 = np.where(live, a * p + pm1, p), np.where(live, p, pm1)
+        q, qm1 = np.where(live, a * q + qm1, q), np.where(live, q, qm1)
+    return p / q
 
 
 def heatmap_values(n: int, k: int, variant: str = "minus",
                    jobs: int = 1) -> np.ndarray:
     """T^k values on the n-by-n midpoint grid; entry [i, j] is the value
     at alpha = (2i+1)/2n, x = (2j+1)/2n, both exact dyadic expansions.
-    Columns run in at most min(jobs, CPU count) worker processes."""
+
+    The midpoints' digits form one int64 array, 0 past each expansion's
+    end; blocks of parameter rows step all n points at once and stop
+    once every orbit in the block has reached the fixed point 0, which
+    each does within its digit sum.  `jobs` is only validated: the grid
+    is computed in one process."""
     if n < 16:
         raise DomainError("grid size must be >= 16")
     if k < 1:
@@ -131,36 +183,35 @@ def heatmap_values(n: int, k: int, variant: str = "minus",
         raise DomainError(f"unknown variant {variant!r}")
     if jobs < 1:
         raise DomainError("need at least one job")
-    jobs = min(jobs, os.cpu_count() or 1)
-    tasks = [(n, k, variant, i) for i in range(n)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            cols = list(pool.map(_heatmap_column, tasks,
-                                 chunksize=max(1, n // (4 * jobs))))
-    else:
-        cols = [_heatmap_column(t) for t in tasks]
-    return np.array(cols)
+    grid = _grid_digits(n, variant)
+    block = max(1, _BLOCK_CELLS // n)
+    values = np.empty((n, n))
+    for start in range(0, n, block):
+        alpha = grid[start:start + block, None, :]
+        x = np.broadcast_to(grid, (len(alpha),) + grid.shape)
+        for _ in range(k):
+            if not x.any():
+                break
+            x = _digit_step(alpha, x)
+        values[start:start + block] = _digit_values(x)
+    return values
 
 
 def heatmap_pgm(values: np.ndarray) -> bytes:
     """8-bit PGM: columns follow the parameter, rows run top-down from
     x near 1 to x near 0, intensity round(255 * value)."""
     n = values.shape[0]
-    body = bytearray()
-    for r in range(n):
-        j = n - 1 - r
-        for i in range(n):
-            body.append(min(255, int(255.0 * values[i, j] + 0.5)))
-    return f"P5\n{n} {n}\n255\n".encode() + bytes(body)
+    pixels = np.minimum(255, (255.0 * values + 0.5).astype(np.int64))
+    return (f"P5\n{n} {n}\n255\n".encode()
+            + pixels.T[::-1].astype(np.uint8).tobytes())
 
 
 def heatmap_csv(values: np.ndarray, n: int) -> str:
+    coords = [f"{(2 * i + 1) / (2 * n):.17g}" for i in range(n)]
     rows = ["alpha,x,value"]
-    for i in range(n):
-        a = (2 * i + 1) / (2 * n)
-        for j in range(n):
-            x = (2 * j + 1) / (2 * n)
-            rows.append(f"{a:.17g},{x:.17g},{values[i, j]:.17g}")
+    for a, row in zip(coords, values):
+        rows.append("\r\n".join(f"{a},{x},{v:.17g}"
+                                 for x, v in zip(coords, row.tolist())))
     return "\r\n".join(rows) + "\r\n"
 
 
@@ -224,8 +275,7 @@ def cmd_heatmap(args) -> int:
     if args.out is None:
         raise DomainError("heatmap needs --out")
     base = args.out[:-4] if args.out.endswith(".pgm") else args.out
-    jobs = args.jobs if args.jobs is not None else (4 if args.grid >= 128 else 1)
-    values = heatmap_values(args.grid, args.iter, args.variant, jobs=jobs)
+    values = heatmap_values(args.grid, args.iter, args.variant, jobs=args.jobs)
     _atomic_bytes(base + ".pgm", heatmap_pgm(values))
     _atomic_text(base + ".csv", heatmap_csv(values, args.grid))
     print(f"wrote {base}.pgm and {base}.csv")
@@ -366,8 +416,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iter", type=int, default=1)
     p.add_argument("--variant", choices=("minus", "plus"), default="minus")
     p.add_argument("--out", required=True, help="output base or .pgm path")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="parallel columns (default: auto)")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility; the grid is computed "
+                        "in one process")
     p.set_defaults(fn=cmd_heatmap)
 
     p = sub.add_parser("jimm", help="apply the digit-rewrite involution")

@@ -2,14 +2,17 @@
 
 import json
 import os
+import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from cfdyn import cli
-from cfdyn.cf import ContinuedFraction, ZERO, cf_from_rational
+from cfdyn.cf import ContinuedFraction, ZERO, cf_from_rational, cf_value
 from cfdyn.errors import DomainError
+from cfdyn.maps import t_alpha_step
 
 GOLDEN_CSV = os.path.join(os.path.dirname(__file__), "golden",
                           "heatmap_n16_k1.csv")
@@ -219,6 +222,24 @@ class TestVerifyCommand:
         assert code == (0 if report["passed"] else 1)
 
 
+def _exact_heatmap(n, k, variant):
+    """The grid point by point on exact expansions: the reference the
+    digit-array path must reproduce bit for bit."""
+    grid = [cf_from_rational(Fraction(2 * j + 1, 2 * n), variant=variant)
+            for j in range(n)]
+    vals = np.empty((n, n))
+    for i, alpha in enumerate(grid):
+        for j, y in enumerate(grid):
+            for _ in range(k):
+                y = t_alpha_step(alpha, y)
+            vals[i, j] = cf_value(y)[0]
+    return vals
+
+
+_rng = random.Random(20170)
+_ORACLE_GRIDS = [(_rng.randint(16, 40), k) for k in range(1, 6)]
+
+
 class TestHeatmap:
     def test_values_symmetry_and_range(self):
         vals = cli.heatmap_values(16, 1)
@@ -261,29 +282,36 @@ class TestHeatmap:
         assert code == 2
         assert not (tmp_path / "x.pgm").exists()
 
-    def test_workers_capped_at_cpu_count(self, monkeypatch):
-        # a stand-in pool records the worker count and maps serially, so
-        # no process is started whatever --jobs asks for
-        asked = []
+    def test_jobs_start_no_process(self):
+        assert not hasattr(cli, "ProcessPoolExecutor")
+        assert np.array_equal(cli.heatmap_values(16, 1, jobs=10 ** 9),
+                              cli.heatmap_values(16, 1, jobs=1))
 
-        class FakePool:
-            def __init__(self, max_workers):
-                asked.append(max_workers)
+    @pytest.mark.parametrize("variant", ["minus", "plus"])
+    @pytest.mark.parametrize("n, k", _ORACLE_GRIDS)
+    def test_matches_exact_point_loop(self, n, k, variant):
+        # the plus variant's expansions end in 1, at parameters and points
+        # alike, and its reduce steps leave that trailing 1 in place
+        ref = _exact_heatmap(n, k, variant)
+        got = cli.heatmap_values(n, k, variant)
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
 
-            def __enter__(self):
-                return self
+    def test_huge_iterate_count_reaches_zero(self):
+        # each step lowers the digit sum, at most 2n on this grid, and 0
+        # is fixed, so a million steps cost no more than 32
+        vals = cli.heatmap_values(16, 10 ** 6)
+        assert not vals.any()
+        assert np.array_equal(vals, cli.heatmap_values(16, 32))
 
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks, chunksize=1):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
-        vals = cli.heatmap_values(16, 1, jobs=10 ** 9)
-        assert asked == [3]
-        assert np.array_equal(vals, cli.heatmap_values(16, 1, jobs=1))
+    def test_memory_stays_in_blocks(self):
+        # one unblocked (512, 512, L) int64 array would be about 27 MB
+        tracemalloc.start()
+        try:
+            vals = cli.heatmap_values(512, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < vals.nbytes + 8 * 2 ** 20
 
     def test_small_grid_rejected(self, tmp_path):
         code = cli.main(["heatmap", "--grid", "8", "--iter", "1",
