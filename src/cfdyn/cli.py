@@ -109,6 +109,10 @@ def _atomic_text(path: str, data: str) -> None:
 # memory stays bounded at any grid size
 _BLOCK_CELLS = 8192
 
+# side of the subgrid that every heatmap recomputes through the exact map;
+# it covers the whole of the smallest (16-by-16) grid
+_CHECK_SIDE = 16
+
 
 def _grid_digits(n: int, variant: str) -> np.ndarray:
     """Digits of the midpoints (2j+1)/2n, row j, by a vectorised Euclid.
@@ -165,6 +169,28 @@ def _digit_values(x: np.ndarray) -> np.ndarray:
     return p / q
 
 
+def _check_cells(values: np.ndarray, n: int, k: int, variant: str) -> None:
+    """Recompute a _CHECK_SIDE-square subgrid, both ends included, with
+    the exact map (`cf_from_rational`, `t_alpha_step` up to k times or
+    until 0, `cf_value`) and raise if a digit-array value differs in
+    any bit."""
+    idx = np.linspace(0, n - 1, _CHECK_SIDE).round().astype(np.int64).tolist()
+    points = {j: cf_from_rational(Fraction(2 * j + 1, 2 * n), variant=variant)
+              for j in idx}
+    for i in idx:
+        for j in idx:
+            y = points[j]
+            for _ in range(k):
+                y = t_alpha_step(points[i], y)
+                if y == ZERO:
+                    break
+            exact = cf_value(y)[0]
+            if exact != values[i, j]:
+                raise RuntimeError(
+                    f"digit-array heatmap gives {values[i, j]!r} at cell "
+                    f"({i}, {j}) of grid {n}, k={k}; the map gives {exact!r}")
+
+
 def heatmap_values(n: int, k: int, variant: str = "minus",
                    jobs: int = 1) -> np.ndarray:
     """T^k values on the n-by-n midpoint grid; entry [i, j] is the value
@@ -173,8 +199,10 @@ def heatmap_values(n: int, k: int, variant: str = "minus",
     The midpoints' digits form one int64 array, 0 past each expansion's
     end; blocks of parameter rows step all n points at once and stop
     once every orbit in the block has reached the fixed point 0, which
-    each does within its digit sum.  `jobs` is only validated: the grid
-    is computed in one process."""
+    each does within its digit sum.  A 16-by-16 subgrid (the whole grid
+    at n = 16) is then recomputed point by point through `t_alpha_step`
+    and must agree bit for bit.  `jobs` is only validated: the grid is
+    computed in one process."""
     if n < 16:
         raise DomainError("grid size must be >= 16")
     if k < 1:
@@ -194,6 +222,7 @@ def heatmap_values(n: int, k: int, variant: str = "minus",
                 break
             x = _digit_step(alpha, x)
         values[start:start + block] = _digit_values(x)
+    _check_cells(values, n, k, variant)
     return values
 
 

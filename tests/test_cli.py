@@ -287,6 +287,18 @@ class TestHeatmap:
         assert np.array_equal(cli.heatmap_values(16, 1, jobs=10 ** 9),
                               cli.heatmap_values(16, 1, jobs=1))
 
+    def test_wrong_digit_rule_is_caught(self, monkeypatch):
+        # a step that always strips, never reduces, differs from the map
+        # inside the 16-by-16 subgrid that every call recomputes
+        step = cli._digit_step
+
+        def strip_only(alpha, x):
+            return step(np.zeros_like(alpha), x)
+
+        monkeypatch.setattr(cli, "_digit_step", strip_only, raising=True)
+        with pytest.raises(RuntimeError, match="digit-array heatmap"):
+            cli.heatmap_values(64, 1)
+
     @pytest.mark.parametrize("variant", ["minus", "plus"])
     @pytest.mark.parametrize("n, k", _ORACLE_GRIDS)
     def test_matches_exact_point_loop(self, n, k, variant):
