@@ -327,36 +327,63 @@ class GridDensity:
         return "\r\n".join(rows) + "\r\n"
 
 
-def leading_eigen(m: np.ndarray, tol: float = 1e-12,
-                  max_iter: int = 5000) -> tuple:
-    """Leading eigenpair by power iteration with L1 normalization.
+_POWER_STEPS = 32  # plain power steps before the first shifted solve
+_MAX_STEPS = 64     # steps of either kind before the bracket counts as stuck
 
-    Stops when successive eigenvalue estimates differ by less than tol;
-    the eigenvector is renormalized to unit trapezoid mass before return."""
+
+def leading_eigen(m: np.ndarray) -> tuple:
+    """Perron pair of a non-negative matrix by shifted inverse iteration
+    with a Collatz-Wielandt bracket.
+
+    Each step maps the unit-L1 iterate v to w = M v.  The ratios w_i / v_i
+    over v's support bracket the Perron root: min <= rho <= max (Collatz
+    1942; Wielandt 1950).  The first _POWER_STEPS steps take v <- w / |w|;
+    after that, v <- (hi I - M)^-1 v with hi the bracket's top, which makes
+    rho the eigenvalue nearest the shift and keeps v non-negative (Noda
+    1971).  The loop stops once hi - lo <= 8 eps hi and returns
+    lambda = sum(w), a point of the bracket, with v renormalized to unit
+    trapezoid mass.  A singular shifted system, a zero or negative entry
+    of v whose image is positive, or a bracket still open after
+    _MAX_STEPS steps raises ConvergenceError with last = (hi, v)."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DomainError("need a square matrix")
+    if not np.all(np.isfinite(m)):
+        raise DomainError("matrix entries must be finite")
     if np.any(m < 0):
         raise DomainError("matrix must be entrywise nonnegative")
-    if max_iter < 1:
-        raise ConvergenceError("no iterations allowed", last=None)
     size = m.shape[0]
     v = np.full(size, 1.0 / size)
-    lam_prev = None
-    lam = 0.0
-    for _ in range(max_iter):
+    shifted = np.empty_like(m)
+    for step in range(_MAX_STEPS):
         w = m @ v
         lam = float(np.sum(w))  # v has unit L1 mass and everything is >= 0
-        if lam == 0.0:
-            raise ConvergenceError("operator annihilated the iterate", last=None)
-        v = w / lam
-        if lam_prev is not None and abs(lam - lam_prev) < tol:
+        support = v > 0
+        if np.any(w[~support] > 0):
+            raise ConvergenceError("iterate vanishes where its image does not",
+                                   last=(math.inf, v))
+        ratios = w[support] / v[support]
+        lo, hi = float(ratios.min()), float(ratios.max())
+        if hi - lo <= 8.0 * np.finfo(float).eps * hi:
             n = size - 1
-            mass = float(np.trapezoid(v, dx=1.0 / n))
-            return lam, GridDensity(n, v / mass)
-        lam_prev = lam
+            return lam, GridDensity(n, v / float(np.trapezoid(v, dx=1.0 / n)))
+        if step < _POWER_STEPS:
+            v = w / lam
+            continue
+        np.negative(m, out=shifted)
+        shifted.flat[::size + 1] += hi
+        try:
+            u = np.linalg.solve(shifted, v)
+            total = float(np.sum(u))  # negative when rounding put hi below rho
+        except np.linalg.LinAlgError:
+            total = 0.0
+        if total == 0.0 or not math.isfinite(total):
+            raise ConvergenceError(f"shifted system singular at {hi!r}",
+                                   last=(hi, v))
+        v = u / total
     raise ConvergenceError(
-        f"power iteration did not settle in {max_iter} steps", last=(lam, v))
+        f"eigenvalue bracket [{lo!r}, {hi!r}] still open after {_MAX_STEPS} steps",
+        last=(hi, v))
 
 
 # ---------------------------------------------------------------------------

@@ -162,6 +162,12 @@ class TestSpectrumCommand:
         argv = ["spectrum", "--alpha", "0", "--s", s, "--grid", "16"]
         assert cli.main(argv) == 2
 
+    def test_neutral_parameter_large_grid(self, capsys):
+        # the spectral gap closes at (1); the bracket still closes at 512
+        code = cli.main(["spectrum", "--alpha", "(1)", "--grid", "512"])
+        assert code == 0
+        assert capsys.readouterr().out.startswith("lambda 1.000")
+
 
 class TestLyapunovCommand:
     def test_json_contract(self, capsys):

@@ -333,15 +333,34 @@ class TestEigen:
         with pytest.raises(DomainError):
             tr.leading_eigen(np.ones((3, 4)))
 
-    def test_no_iteration_budget(self):
-        with pytest.raises(ConvergenceError):
-            tr.leading_eigen(np.eye(4), max_iter=0)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        m = np.eye(4)
+        m[1, 3] = bad
+        with pytest.raises(DomainError):
+            tr.leading_eigen(m)
 
     def test_non_settling_reports_last_iterate(self):
-        m = np.array([[0.0, 1.0], [1.0, 0.0]])  # 2-cycle, never settles
+        # the 2-cycle's uniform start is already its Perron vector
+        lam, dens = tr.leading_eigen(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert lam == 1.0
+        assert list(dens.values) == [1.0, 1.0]
+        # reducible: the bracket stays [1, 2] while v tends to (1, 0)
         with pytest.raises(ConvergenceError) as exc:
-            tr.leading_eigen(m, tol=0.0, max_iter=7)
+            tr.leading_eigen(np.diag([2.0, 1.0]))
         assert exc.value.last is not None
+
+    @pytest.mark.parametrize("n", [64, 128])
+    @pytest.mark.parametrize("alpha", [ZERO, tr.HALF_MINUS, GOLDEN, PELL],
+                             ids=["0", "1/2", "(1)", "(2)"])
+    def test_matches_dense_solver(self, alpha, n):
+        m = tr.gkw_matrix(alpha, 1.0, n)
+        lam, dens = tr.leading_eigen(m)
+        dense = float(np.max(np.linalg.eigvals(m).real))
+        assert abs(lam - dense) <= 1e-13 * dense
+        ratios = (m @ dens.values) / dens.values
+        eps = np.finfo(float).eps
+        assert ratios.max() - ratios.min() <= 16 * eps * lam
 
 
 class TestGridDensity:
