@@ -118,57 +118,39 @@ def _require_settled(data: _LevelData, s: float) -> None:
 # pointwise application
 
 
-def _abs_at(psi: Callable, u: float) -> float:
-    try:
-        return abs(float(psi(u)))
-    except ZeroDivisionError:
-        return math.inf
-
-
-def _family_probe_sup(psi: Callable, lv: _Level, y: float, m: int) -> float:
-    """Sup of |psi| over the dropped part of an arithmetic branch family,
-    estimated at a few probe indices plus the family's limit point.  The
-    probed points bracket the tail image segment.  This is a heuristic,
-    not a certified bound: it holds when psi is monotone on that segment,
-    as the densities used here are, and nothing checks that it is."""
-    sup = 0.0
-    for i in (m + 1, m + 2, m + 4, m + 8, m + 16):
-        z = y + i
-        sup = max(sup, _abs_at(psi, (lv.p * z + lv.pp) / (lv.q * z + lv.qq)))
-    sup = max(sup, _abs_at(psi, lv.p / lv.q))
-    return sup
-
-
 def _family_tail_terms(psi: Callable, lv: _Level, y: float,
                        m: int, s: float) -> tuple:
     """(correction, bound) for the family members beyond index m.
 
     The dropped images crowd against the family limit p/q, so psi(limit)
     times the dropped weight is added to the sum and only the spread of
-    psi across that shrinking segment is left in the bound (doubled, to
-    cover mild non-monotone variation).  When psi cannot be evaluated at
-    the limit the whole dropped mass goes into the bound instead."""
+    psi across that shrinking segment, probed at members m+1, m+2 and
+    m+4, is left in the bound (doubled, to cover mild non-monotone
+    variation).  When psi is not finite there, the whole dropped mass
+    goes into the bound instead, times the largest |psi| at the limit
+    and at members m+1, m+2, m+4, m+8 and m+16.  Those points bracket
+    the tail image segment, so that sup is a heuristic: it holds when
+    psi is monotone there, as the densities used here are, and nothing
+    checks that it is."""
     # dropped weight: members m+1.. up to the family's end, if it has one
     (head, cut), tails = power_tail(lv.q, lv.q * y + lv.qq, 2.0 * s,
                                     np.array([m + 1.0, lv.digit]))
     weight, werr = max(head - cut, 0.0), float(np.sum(tails))
-    limit = lv.p / lv.q
-    try:
-        at_limit = float(psi(limit))
-    except ZeroDivisionError:
-        at_limit = math.nan
-    if not math.isfinite(at_limit):
-        return 0.0, (weight + werr) * _family_probe_sup(psi, lv, y, m)
-    spread = 0.0
-    for i in (m + 1, m + 2, m + 4):
-        z = y + i
+
+    def at(u: float) -> float:
         try:
-            probe = float(psi((lv.p * z + lv.pp) / (lv.q * z + lv.qq)))
+            return float(psi(u))
         except ZeroDivisionError:
-            probe = math.inf
-        spread = max(spread, abs(probe - at_limit))
-        if not math.isfinite(spread):
-            return 0.0, (weight + werr) * _family_probe_sup(psi, lv, y, m)
+            return math.inf
+
+    zs = [y + i for i in (m + 1, m + 2, m + 4, m + 8, m + 16)]
+    probes = [at((lv.p * z + lv.pp) / (lv.q * z + lv.qq)) for z in zs]
+    at_limit = at(lv.p / lv.q)
+    # max() starting from 0.0 skips nan values, as comparisons with nan fail
+    spread = max(0.0, *(abs(v - at_limit) for v in probes[:3]))
+    if not (math.isfinite(at_limit) and math.isfinite(spread)):
+        sup = max(0.0, *(abs(v) for v in probes + [at_limit]))
+        return 0.0, (weight + werr) * sup
     return weight * at_limit, 2.0 * weight * spread + werr * (abs(at_limit) + spread)
 
 
@@ -340,14 +322,19 @@ def leading_eigen(m: np.ndarray) -> tuple:
     1942; Wielandt 1950).  The first _POWER_STEPS steps take v <- w / |w|;
     after that, v <- (hi I - M)^-1 v with hi the bracket's top, which makes
     rho the eigenvalue nearest the shift and keeps v non-negative (Noda
-    1971).  The loop stops once hi - lo <= 8 eps hi and returns
-    lambda = sum(w), a point of the bracket, with v renormalized to unit
-    trapezoid mass.  A singular shifted system, a zero or negative entry
-    of v whose image is positive, or a bracket still open after
-    _MAX_STEPS steps raises ConvergenceError with last = (hi, v)."""
+    1971).  The loop stops once hi - lo <= 8 eps hi, or, after a shifted
+    solve, once hi - lo <= 64 eps hi and that solve did not halve the
+    width: the ratios then sit on their rounding floor, which large grids
+    hold above 8 ulp.  It returns lambda = sum(w), a point of the bracket,
+    with v renormalized to unit trapezoid mass.  A singular shifted
+    system, a zero or negative entry of v whose image is positive, or a
+    bracket still open after _MAX_STEPS steps raises ConvergenceError
+    with last = (hi, v)."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DomainError("need a square matrix")
+    if m.shape[0] < 2:
+        raise DomainError("need at least a 2x2 matrix")
     if not np.all(np.isfinite(m)):
         raise DomainError("matrix entries must be finite")
     if np.any(m < 0):
@@ -355,6 +342,8 @@ def leading_eigen(m: np.ndarray) -> tuple:
     size = m.shape[0]
     v = np.full(size, 1.0 / size)
     shifted = np.empty_like(m)
+    eps = np.finfo(float).eps
+    width = math.inf
     for step in range(_MAX_STEPS):
         w = m @ v
         lam = float(np.sum(w))  # v has unit L1 mass and everything is >= 0
@@ -364,7 +353,10 @@ def leading_eigen(m: np.ndarray) -> tuple:
                                    last=(math.inf, v))
         ratios = w[support] / v[support]
         lo, hi = float(ratios.min()), float(ratios.max())
-        if hi - lo <= 8.0 * np.finfo(float).eps * hi:
+        before, width = width, hi - lo
+        floored = (step > _POWER_STEPS and width <= 64.0 * eps * hi
+                   and 2.0 * width > before)
+        if width <= 8.0 * eps * hi or floored:
             n = size - 1
             return lam, GridDensity(n, v / float(np.trapezoid(v, dx=1.0 / n)))
         if step < _POWER_STEPS:
@@ -491,8 +483,15 @@ def residual_kernel_eta(eta, s, y):
 # cross-member identities
 
 
-def transfer_equivalences(kind: str, psi: Callable, s: float, y: float,
-                          inner_max: int = INNER_MAX):
+# members per infinite family that transfer_equivalences sums one by one.
+# The conjugation pairs the two sides' members one to one, so both sides
+# drop mirrored members; a quarter of INNER_MAX cuts the time about
+# tenfold, and the tails stay below 1e-9, far under the O(1) gap a wrong
+# conjugation leaves
+_EQUIVALENCE_INNER_MAX = 50_000
+
+
+def transfer_equivalences(kind: str, psi: Callable, s: float, y: float):
     """Both sides of a member-to-member conjugation identity.
 
     "alpha1-to-gauss": the parameter-one operator on psi against the
@@ -503,14 +502,13 @@ def transfer_equivalences(kind: str, psi: Callable, s: float, y: float,
     flipped = lambda u: psi(1 - u)
     name = kind.strip().lower().replace("_", "-")
     if name == "alpha1-to-gauss":
-        lhs = apply_transfer(ONE, s, psi, y, inner_max)
-        rhs = apply_transfer(ZERO, s, flipped, y, inner_max)
+        left, right = ONE, ZERO
     elif name == "half-plus-to-minus":
-        lhs = apply_transfer(HALF_PLUS, s, psi, y, inner_max)
-        rhs = apply_transfer(HALF_MINUS, s, flipped, y, inner_max)
+        left, right = HALF_PLUS, HALF_MINUS
     else:
         raise DomainError(f"unknown equivalence kind {kind!r}")
-    return lhs, rhs
+    return (apply_transfer(left, s, psi, y, _EQUIVALENCE_INNER_MAX),
+            apply_transfer(right, s, flipped, y, _EQUIVALENCE_INNER_MAX))
 
 
 def hurwitz_image(kind: str, s: float, y: float) -> SeriesValue:

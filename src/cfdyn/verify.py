@@ -36,6 +36,9 @@ from .zeta import fib_functional_eq_residual, fib_zeta, hurwitz_zeta
 
 EPS = float(np.finfo(float).eps)
 
+# sum_{k>=1} 1/F_k (OEIS A079586; irrational by Andre-Jeannin, 1989)
+_RECIPROCAL_FIBONACCI = 3.359885666243177553
+
 DENSITY_PAIRS = (
     ("classical", GAUSS_ALPHA, "gauss", None),
     ("parameter-one", ONE, "alpha_one", None),
@@ -227,19 +230,12 @@ def _complement_conjugacy() -> CheckResult:
                   "expansions with denominator <= 40")
 
 
-# 50 000 members per infinite family instead of the default 200 000 cut
-# the row's time about tenfold; the tails stay below 1e-9, far under the
-# O(1) gap a wrong conjugation leaves
-_EQUIVALENCE_INNER_MAX = 50_000
-
-
 def _complement_operators() -> CheckResult:
     psi = closed_form_density("gauss")
     rows = []
     for kind in ("alpha1-to-gauss", "half-plus-to-minus"):
         for y in (0.3, 0.7):
-            lhs, rhs = transfer_equivalences(kind, psi, 1.0, y,
-                                             _EQUIVALENCE_INNER_MAX)
+            lhs, rhs = transfer_equivalences(kind, psi, 1.0, y)
             rows.append((abs(lhs.value - rhs.value),
                          lhs.tail + rhs.tail + 1e-12))
     gap, bound = _worst(rows)
@@ -322,10 +318,11 @@ def suite_zeta(tol: Optional[float] = None) -> list[CheckResult]:
                       "difference at consecutive shifts equals a^(-z); "
                       "bound = tails + rounding allowance"))
 
-    a, b = fib_zeta(1.0, 400), fib_zeta(1.0, 800)
-    out.append(_check("fib-zeta-doubling", abs(a.value - b.value),
-                      base + a.tail + b.tail + _rounding(a.value, b.value),
-                      f"value {a.value:.12f} stable under doubled truncation"))
+    got, want = fib_zeta(1.0), _RECIPROCAL_FIBONACCI
+    out.append(_check("fib-zeta-constant", abs(got.value - want),
+                      base + got.tail + _rounding(got.value, want),
+                      f"value {got.value:.12f} against the reciprocal "
+                      "Fibonacci constant"))
 
     rows = []
     for s in np.linspace(1.0, 3.0, 5):

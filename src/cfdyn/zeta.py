@@ -3,7 +3,10 @@
 One argument convention is used throughout: exponent first, shift second,
 hurwitz_zeta(z, a) = sum_{n>=0} (n+a)^(-z).  Branch-weighted sums are
 expressed through the transfer machinery so their truncation tails come
-from a single code path.
+from a single code path.  The Fibonacci sums fib_* are the one exception:
+they sum the closed Fibonacci form by its own recurrence, which tests
+check against the golden parameter's branch walk and `verify` against
+the reciprocal Fibonacci constant.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import sys
 
 from .cf import ContinuedFraction
 from .errors import ConvergenceError, DomainError
-from .series import SeriesValue, fibonacci, hurwitz_sum
+from .series import SeriesValue, hurwitz_sum
 from .transfer import apply_transfer
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -37,40 +40,34 @@ def zeta_alpha(alpha: ContinuedFraction, s: float, t: float,
     return apply_transfer(alpha, s, power, y)
 
 
-def _fib_term_log(k: int, y: float) -> tuple:
-    """(log numerator-base, log denominator-base) of the k-th summand,
-    stable for big-integer Fibonacci values."""
-    f_km1 = fibonacci(k - 1)
-    f_k = fibonacci(k)
-    f_kp1 = fibonacci(k + 1)
-    if k == 0:
-        ln_num = 0.0  # F_0 y + F_{-1} = 1
-    else:
-        ln_num = math.log(f_k) + math.log(y + f_km1 / f_k)
-    ln_den = math.log(f_kp1) + math.log(y + f_k / f_kp1)
-    return ln_num, ln_den
+_FIB_TERMS = 400  # summands before the geometric tail takes over
 
 
-def fib_hurwitz(s: float, t: float, y: float, n_terms: int = 400) -> SeriesValue:
+def fib_hurwitz(s: float, t: float, y: float) -> SeriesValue:
     """sum_{k>=0} (F_k y + F_{k-1})^t / (F_{k+1} y + F_k)^(2s+t), with
-    F_{-1} = 1.  Terms decay geometrically with ratio -> phi^(-2s); the
-    reported tail is that geometric bound, inflated to stay above the
-    pre-asymptotic oscillation."""
+    F_{-1} = 1.  The bases u_k = F_k y + F_{k-1} follow u_{k+1} = u_k +
+    u_{k-1} from u_0 = 1, u_1 = y, and each summand is taken as
+    exp(t log u_k - (2s+t) log u_{k+1}) so that no power overflows.
+    Terms decay geometrically with ratio -> phi^(-2s); the reported tail
+    is that geometric bound, inflated to stay above the pre-asymptotic
+    oscillation."""
     if s <= 0:
         raise DomainError("terms only decay for s > 0")
     if not y > 0:
         raise DomainError("y must be positive")
-    if n_terms < 2:
-        raise DomainError("need at least two terms")
+    power = 2.0 * s + t
+    u_prev, u = 1.0, y
+    log_prev = 0.0  # log u_0
     total = 0.0
     prev_term = None
     term = 0.0
-    for k in range(n_terms):
-        ln_num, ln_den = _fib_term_log(k, y)
-        prev_term, term = term, math.exp(t * ln_num - (2.0 * s + t) * ln_den)
+    for _ in range(_FIB_TERMS):
+        log_u = math.log(u)
+        prev_term, term = term, math.exp(t * log_prev - power * log_u)
         total += term
         if term < 1e-18 * total:
             break
+        u_prev, u, log_prev = u, u + u_prev, log_u
     if term == 0.0:
         return SeriesValue(total, 0.0)
     measured = term / prev_term if prev_term else 0.0
@@ -85,15 +82,14 @@ def fib_hurwitz(s: float, t: float, y: float, n_terms: int = 400) -> SeriesValue
     return SeriesValue(total, term * ratio / (1.0 - ratio))
 
 
-def fib_zeta(s: float, n_terms: int = 400) -> SeriesValue:
+def fib_zeta(s: float) -> SeriesValue:
     """sum_{k>=1} F_k^(-s), through the two-variable series at y=1: that
     series starts at F_2, so the k=1 term contributes the extra 1."""
-    inner = fib_hurwitz(s / 2.0, 0.0, 1.0, n_terms)
+    inner = fib_hurwitz(s / 2.0, 0.0, 1.0)
     return SeriesValue(inner.value + 1.0, inner.tail)
 
 
-def fib_functional_eq_residual(s: float, t: float, x: float,
-                               n_terms: int = 400) -> SeriesValue:
+def fib_functional_eq_residual(s: float, t: float, x: float) -> SeriesValue:
     """Both sides of the shift identity of the two-variable series,
     computed by independent summation:
 
@@ -106,8 +102,8 @@ def fib_functional_eq_residual(s: float, t: float, x: float,
     so the honest uncertainty is dominated by the magnitudes summed."""
     if x <= 0:
         raise DomainError("x must be positive")
-    lhs = fib_hurwitz(s, t, 1.0 + 1.0 / x, n_terms)
-    rhs = fib_hurwitz(s, t, x, n_terms)
+    lhs = fib_hurwitz(s, t, 1.0 + 1.0 / x)
+    rhs = fib_hurwitz(s, t, x)
     scale = x ** (2.0 * s)
     shift = x ** (-t)
     residual = lhs.value - (scale * rhs.value - shift)

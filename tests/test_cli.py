@@ -168,6 +168,12 @@ class TestSpectrumCommand:
         assert code == 0
         assert capsys.readouterr().out.startswith("lambda 1.000")
 
+    def test_neutral_parameter_settles_at_rounding_floor(self, capsys):
+        # at 2048 the bracket stays a few ulp above 8 ulp of the root
+        code = cli.main(["spectrum", "--alpha", "(1)", "--grid", "2048"])
+        assert code == 0
+        assert capsys.readouterr().out.startswith("lambda 1.0002468812890428\n")
+
 
 class TestLyapunovCommand:
     def test_json_contract(self, capsys):

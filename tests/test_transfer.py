@@ -333,6 +333,11 @@ class TestEigen:
         with pytest.raises(DomainError):
             tr.leading_eigen(np.ones((3, 4)))
 
+    @pytest.mark.parametrize("size", [0, 1])
+    def test_rejects_below_two_by_two(self, size):
+        with pytest.raises(DomainError):
+            tr.leading_eigen(np.full((size, size), 2.0))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_entries(self, bad):
         m = np.eye(4)

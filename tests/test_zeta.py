@@ -7,9 +7,28 @@ import pytest
 from cfdyn.cf import ContinuedFraction, ZERO
 from cfdyn.errors import DomainError
 from cfdyn.series import fibonacci, hurwitz_sum
+from cfdyn import verify
 from cfdyn import zeta as zt
 
 GOLDEN = ContinuedFraction((), (1,))
+
+# sum_{k>=1} 1/F_k (OEIS A079586)
+RECIPROCAL_FIBONACCI = 3.359885666243177553
+
+
+def big_integer_fib_sum(s, t, y, terms=200, bits=256):
+    """The two-variable series from exact Fibonacci integers, for integer
+    t and 2s: each summand (F_k a + F_{k-1} b)^t b^(2s) / (F_{k+1} a +
+    F_k b)^(2s+t), y = a/b, is rounded down to a multiple of 2^-bits."""
+    a, b = y.as_integer_ratio()
+    p, q = int(2 * s), int(t)
+    assert p == 2 * s and q == t
+    total = 0
+    for k in range(terms):
+        num = (fibonacci(k) * a + fibonacci(k - 1) * b) ** q * b ** p
+        den = (fibonacci(k + 1) * a + fibonacci(k) * b) ** (p + q)
+        total += (num << bits) // den
+    return math.ldexp(total, -bits)
 
 
 class TestHurwitz:
@@ -55,12 +74,15 @@ class TestZetaAlpha:
         assert abs(got.value - want.value) <= got.tail + want.tail + 1e-12
 
     def test_golden_parameter_matches_fib_series(self):
+        # the golden branch sum is the series without its k=0 summand
         for s in (1.0, 1.5):
-            for y in (0.5, 1.0):
-                branch = zt.zeta_alpha(GOLDEN, s, 0.0, y)
-                series = zt.fib_hurwitz(s, 0.0, y)
-                want = series.value - y ** (-2.0 * s)
-                assert abs(branch.value - want) <= branch.tail + series.tail + 1e-12
+            for t in (0.0, 0.5, 1.0):
+                for y in (0.5, 1.0):
+                    branch = zt.zeta_alpha(GOLDEN, s, t, y)
+                    series = zt.fib_hurwitz(s, t, y)
+                    want = series.value - y ** (-2.0 * s - t)
+                    assert abs(branch.value - want) \
+                        <= branch.tail + series.tail + 1e-12
 
     def test_rejects_bad_point(self):
         with pytest.raises(DomainError):
@@ -90,8 +112,20 @@ class TestFibHurwitz:
         got = zt.fib_hurwitz(1.0, 0.0, 1.0)
         assert abs(got.value - direct) < 1e-12
 
-    def test_monotone_in_truncation_with_honest_tails(self):
-        vals = [zt.fib_hurwitz(1.0, 0.5, 0.8, n) for n in (6, 9, 12, 24)]
+    def test_matches_big_integer_sum(self):
+        for s in (0.5, 1.0, 1.5, 2.0):
+            for t in (0.0, 1.0, 2.0):
+                for y in (0.25, 0.8, 1.0, 3.0):
+                    got = zt.fib_hurwitz(s, t, y)
+                    want = big_integer_fib_sum(s, t, y)
+                    assert abs(got.value - want) \
+                        <= got.tail + 8 * math.ulp(want), (s, t, y)
+
+    def test_monotone_in_truncation_with_honest_tails(self, monkeypatch):
+        vals = []
+        for n in (6, 9, 12, 24):
+            monkeypatch.setattr(zt, "_FIB_TERMS", n)
+            vals.append(zt.fib_hurwitz(1.0, 0.5, 0.8))
         for a, b in zip(vals, vals[1:]):
             assert a.value <= b.value <= a.value + a.tail
 
@@ -107,10 +141,18 @@ class TestFibZeta:
         got = zt.fib_zeta(1.0)
         assert abs(got.value - 3.359885666243) < 1e-9
 
-    def test_stable_under_doubled_truncation(self):
-        a = zt.fib_zeta(1.0, 400)
-        b = zt.fib_zeta(1.0, 800)
-        assert abs(a.value - b.value) <= 1e-9
+    def test_stable_under_doubled_truncation(self, monkeypatch):
+        # 40 summands stop short of the rounding floor, so the tail counts
+        monkeypatch.setattr(zt, "_FIB_TERMS", 40)
+        a = zt.fib_zeta(1.0)
+        monkeypatch.setattr(zt, "_FIB_TERMS", 80)
+        b = zt.fib_zeta(1.0)
+        assert 0 < abs(a.value - b.value) <= a.tail
+
+    def test_verify_row_checks_the_constant(self):
+        row, = [r for r in verify.suite_zeta() if r.name == "fib-zeta-constant"]
+        assert row.passed
+        assert row.measure <= 4 * math.ulp(RECIPROCAL_FIBONACCI)
 
     def test_direct_sum_cross_check(self):
         direct = sum(1.0 / fibonacci(k) ** 3 for k in range(1, 60))
