@@ -191,8 +191,7 @@ def _check_cells(values: np.ndarray, n: int, k: int, variant: str) -> None:
                     f"({i}, {j}) of grid {n}, k={k}; the map gives {exact!r}")
 
 
-def heatmap_values(n: int, k: int, variant: str = "minus",
-                   jobs: int = 1) -> np.ndarray:
+def heatmap_values(n: int, k: int, variant: str = "minus") -> np.ndarray:
     """T^k values on the n-by-n midpoint grid; entry [i, j] is the value
     at alpha = (2i+1)/2n, x = (2j+1)/2n, both exact dyadic expansions.
 
@@ -201,16 +200,13 @@ def heatmap_values(n: int, k: int, variant: str = "minus",
     once every orbit in the block has reached the fixed point 0, which
     each does within its digit sum.  A 16-by-16 subgrid (the whole grid
     at n = 16) is then recomputed point by point through `t_alpha_step`
-    and must agree bit for bit.  `jobs` is only validated: the grid is
-    computed in one process."""
+    and must agree bit for bit."""
     if n < 16:
         raise DomainError("grid size must be >= 16")
     if k < 1:
         raise DomainError("iterate count must be >= 1")
     if variant not in ("minus", "plus"):
         raise DomainError(f"unknown variant {variant!r}")
-    if jobs < 1:
-        raise DomainError("need at least one job")
     grid = _grid_digits(n, variant)
     block = max(1, _BLOCK_CELLS // n)
     values = np.empty((n, n))
@@ -303,8 +299,10 @@ def cmd_qmark(args) -> int:
 def cmd_heatmap(args) -> int:
     if args.out is None:
         raise DomainError("heatmap needs --out")
+    if args.jobs < 1:
+        raise DomainError("need at least one job")
     base = args.out[:-4] if args.out.endswith(".pgm") else args.out
-    values = heatmap_values(args.grid, args.iter, args.variant, jobs=args.jobs)
+    values = heatmap_values(args.grid, args.iter, args.variant)
     _atomic_bytes(base + ".pgm", heatmap_pgm(values))
     _atomic_text(base + ".csv", heatmap_csv(values, args.grid))
     print(f"wrote {base}.pgm and {base}.csv")

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cf import ContinuedFraction, cf_from_rational, convergents
+from .cf import ContinuedFraction, _last_convergent, cf_from_rational
 from .errors import (
     DerivativeUndefined,
     DomainError,
@@ -82,10 +82,9 @@ def lyapunov_qn(x: ContinuedFraction, n: int) -> float:
     This growth rate estimates the exponent of the classical map only."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    rows = convergents(x, n)
-    if len(rows) < n:
+    count, _, q_n, _ = _last_convergent(x.digits(), n)
+    if count < n:
         raise TruncationExhausted(f"point has fewer than {n} digits")
-    q_n = rows[n - 1].c
     return 2.0 * math.log(q_n) / n
 
 

@@ -76,10 +76,16 @@ def _rounding(*values) -> float:
     return 64.0 * EPS * sum(abs(v) for v in values)
 
 
-def _worst(rows) -> tuple:
-    """The (gap, bound, ...) row whose gap most exceeds its bound, the
-    first one on ties."""
-    return max(rows, key=lambda row: float(row[0] - row[1]))
+def _worst(name: str, rows, detail: str) -> CheckResult:
+    """Check on the (gap, bound, where) row whose gap most exceeds its
+    bound, the first one on ties.  With bounds that scale with the values
+    compared, the largest gap can sit in another row, so the detail names
+    both."""
+    gap, bound, where = max(rows, key=lambda row: float(row[0] - row[1]))
+    top, _, at = max(rows, key=lambda row: row[0])
+    return _check(name, gap, bound,
+                  f"{detail}; tightest at {where}; largest gap "
+                  f"{float(top):.3g} at {at}")
 
 
 # ---------------------------------------------------------------------------
@@ -98,11 +104,10 @@ def suite_densities(tol: Optional[float] = None) -> list[CheckResult]:
         for y in np.linspace(0.05, 0.95, _DENSITY_POINTS).tolist():
             got, want = apply_transfer(alpha, 1.0, psi, y), float(psi(y))
             rows.append((abs(got.value - want),
-                         base + got.tail + _rounding(got.value, want), y))
-        gap, bound, y = _worst(rows)
-        out.append(_check(f"density-{label}", gap, bound,
-                          f"{_DENSITY_POINTS} points in [0.05,0.95], worst "
-                          f"at y={y:.2f}"))
+                         base + got.tail + _rounding(got.value, want),
+                         f"y={y:.2f}"))
+        out.append(_worst(f"density-{label}", rows,
+                          f"{_DENSITY_POINTS} points in [0.05,0.95]"))
     return out
 
 
@@ -237,9 +242,8 @@ def _complement_operators() -> CheckResult:
         for y in (0.3, 0.7):
             lhs, rhs = transfer_equivalences(kind, psi, 1.0, y)
             rows.append((abs(lhs.value - rhs.value),
-                         lhs.tail + rhs.tail + 1e-12))
-    gap, bound = _worst(rows)
-    return _check("complement-operators", gap, bound,
+                         lhs.tail + rhs.tail + 1e-12, f"{kind}, y={y}"))
+    return _worst("complement-operators", rows,
                   "both operator conjugations on the classical density at "
                   "y=0.3, 0.7; bound = tails + 1e-12")
 
@@ -283,9 +287,8 @@ def suite_qmark() -> list[CheckResult]:
             got = qmark_pushforward(alpha, y)
             gap = abs(got.value - minkowski_q(cf_from_rational(y)))
             rows.append((gap, got.tail, f"{label}, y={y}"))
-    gap, tail, where = _worst(rows)
-    out.append(_check("qmark-pushforward", gap, tail,
-                      f"three parameters, four points; worst at {where}"))
+    out.append(_worst("qmark-pushforward", rows,
+                      "three parameters, four points"))
 
     bad = 0
     for x, v in zip(pts, vals):
@@ -312,9 +315,9 @@ def suite_zeta(tol: Optional[float] = None) -> list[CheckResult]:
         rows.append((abs(lhs.value - rhs.value - a ** (-z)),
                      lhs.tail + rhs.tail + 32.0 * EPS * (abs(lhs.value)
                                                          + abs(rhs.value)
-                                                         + a ** (-z))))
-    gap, bound = _worst(rows)
-    out.append(_check("hurwitz-shift", gap, bound,
+                                                         + a ** (-z)),
+                     f"z={z}, a={a}"))
+    out.append(_worst("hurwitz-shift", rows,
                       "difference at consecutive shifts equals a^(-z); "
                       "bound = tails + rounding allowance"))
 
@@ -329,9 +332,8 @@ def suite_zeta(tol: Optional[float] = None) -> list[CheckResult]:
         for t in np.linspace(0.0, 2.0, 5):
             for x in np.linspace(0.5, 2.0, 5):
                 r = fib_functional_eq_residual(float(s), float(t), float(x))
-                rows.append((abs(r.value), r.tail))
-    gap, bound = _worst(rows)
-    out.append(_check("fib-functional-eq", gap, bound,
+                rows.append((abs(r.value), r.tail, f"s={s}, t={t}, x={x}"))
+    out.append(_worst("fib-functional-eq", rows,
                       "125-point grid over s in [1,3], t in [0,2], "
                       "x in [1/2,2]"))
 
@@ -343,9 +345,9 @@ def suite_zeta(tol: Optional[float] = None) -> list[CheckResult]:
                 branch = apply_transfer(alpha, s, np.ones_like, y)
                 rows.append((abs(img.value - branch.value),
                              base + img.tail + branch.tail
-                             + _rounding(img.value, branch.value)))
-    gap, bound = _worst(rows)
-    out.append(_check("image-identities", gap, bound,
+                             + _rounding(img.value, branch.value),
+                             f"{kind}, s={s}, y={y}"))
+    out.append(_worst("image-identities", rows,
                       "closed forms against direct branch sums, two "
                       "parameters; bound = tails + rounding allowance"))
     return out

@@ -3,7 +3,8 @@
 One argument convention is used throughout: exponent first, shift second,
 hurwitz_zeta(z, a) = sum_{n>=0} (n+a)^(-z).  Branch-weighted sums are
 expressed through the transfer machinery so their truncation tails come
-from a single code path.  The Fibonacci sums fib_* are the one exception:
+from a single code path; at parameter 0 that sum is a Hurwitz sum and is
+taken in closed form.  The Fibonacci sums fib_* are the other exception:
 they sum the closed Fibonacci form by its own recurrence, which tests
 check against the golden parameter's branch walk and `verify` against
 the reciprocal Fibonacci constant.
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .cf import ContinuedFraction
+from .cf import ZERO, ContinuedFraction
 from .errors import ConvergenceError, DomainError
 from .series import SeriesValue, hurwitz_sum
 from .transfer import apply_transfer
@@ -28,11 +29,15 @@ hurwitz_zeta = hurwitz_sum   # sum_{n>=0} (n+a)^(-z), certified tail
 def zeta_alpha(alpha: ContinuedFraction, s: float, t: float,
                y: float) -> SeriesValue:
     """Branch sum  sum_b |b'(y)|^s b(y)^t  over the inverse branches of
-    the parameter's map: the transfer operator applied to u^t."""
+    the parameter's map: the transfer operator applied to u^t.  At
+    parameter 0 the branches are 1/(y+i), so the sum is the Hurwitz sum
+    sum_{i>=1} (y+i)^(-2s-t), taken in closed form."""
     if not 0 < y <= 1:
         raise DomainError("y must lie in (0, 1]")
     if not (abs(t) < math.inf and 2.0 * s + t > 1.0):
         raise DomainError("branch sum needs a finite t and 2s+t > 1")
+    if alpha == ZERO:
+        return hurwitz_sum(2.0 * s + t, 1.0 + y)
 
     def power(u):
         return u ** t

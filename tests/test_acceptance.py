@@ -134,8 +134,8 @@ def test_criterion_8_zeta_suite(criterion_report):
 
 def test_criterion_9_heatmap_reproduction(criterion_report):
     start = time.perf_counter()
-    first = cli.heatmap_values(256, 1, jobs=4)
-    third = cli.heatmap_values(256, 3, jobs=4)
+    first = cli.heatmap_values(256, 1)
+    third = cli.heatmap_values(256, 3)
     pgm_first = cli.heatmap_pgm(first)
     pgm_third = cli.heatmap_pgm(third)
     elapsed = time.perf_counter() - start

@@ -248,6 +248,16 @@ def _exact_heatmap(n, k, variant):
     return vals
 
 
+def _heatmap_files(tmp_path, jobs):
+    """The PGM and CSV bytes that `cfdyn heatmap --jobs <jobs>` writes."""
+    base = tmp_path / f"jobs-{jobs}"
+    code = cli.main(["heatmap", "--grid", "16", "--iter", "2",
+                     "--jobs", jobs, "--out", str(base)])
+    assert code == 0
+    return [(tmp_path / f"jobs-{jobs}.{ext}").read_bytes()
+            for ext in ("pgm", "csv")]
+
+
 _rng = random.Random(20170)
 _ORACLE_GRIDS = [(_rng.randint(16, 40), k) for k in range(1, 6)]
 
@@ -259,10 +269,8 @@ class TestHeatmap:
         assert np.all((0.0 <= vals) & (vals < 1.0))
         assert np.array_equal(vals, vals[::-1, ::-1])
 
-    def test_parallel_columns_identical(self):
-        a = cli.heatmap_values(16, 2, jobs=1)
-        b = cli.heatmap_values(16, 2, jobs=2)
-        assert np.array_equal(a, b)
+    def test_parallel_columns_identical(self, tmp_path):
+        assert _heatmap_files(tmp_path, "1") == _heatmap_files(tmp_path, "2")
 
     def test_pgm_layout(self):
         vals = cli.heatmap_values(16, 1)
@@ -287,17 +295,15 @@ class TestHeatmap:
         assert (tmp_path / "img.csv").exists()
 
     def test_jobs_below_one_rejected(self, tmp_path):
-        with pytest.raises(DomainError):
-            cli.heatmap_values(16, 1, jobs=0)
         code = cli.main(["heatmap", "--grid", "16", "--iter", "1",
                          "--jobs", "0", "--out", str(tmp_path / "x.pgm")])
         assert code == 2
         assert not (tmp_path / "x.pgm").exists()
 
-    def test_jobs_start_no_process(self):
+    def test_jobs_start_no_process(self, tmp_path):
         assert not hasattr(cli, "ProcessPoolExecutor")
-        assert np.array_equal(cli.heatmap_values(16, 1, jobs=10 ** 9),
-                              cli.heatmap_values(16, 1, jobs=1))
+        assert (_heatmap_files(tmp_path, str(10 ** 9))
+                == _heatmap_files(tmp_path, "1"))
 
     def test_wrong_digit_rule_is_caught(self, monkeypatch):
         # a step that always strips, never reduces, differs from the map

@@ -1,6 +1,7 @@
 """Tests for the transfer-operator module."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -20,20 +21,11 @@ from cfdyn.errors import ConvergenceError, DomainError, TruncationExhausted
 from cfdyn.maps import t_alpha_step
 from cfdyn.series import hurwitz_sum, power_tail
 from cfdyn import transfer as tr
+from cfdyn import verify
 
 GOLDEN = ContinuedFraction((), (1,))
 PELL = ContinuedFraction((), (2,))
 LOG2 = math.log(2.0)
-
-
-class TestConfig:
-    @pytest.mark.parametrize("kw", [
-        dict(inner_max=0), dict(inner_max=-1), dict(inner_max=1.5),
-    ])
-    def test_rejects_bad_budgets(self, kw):
-        # a fractional cap sums members 1..2 but starts the tail at 2.5
-        with pytest.raises(DomainError):
-            tr.apply_transfer(ZERO, 1.0, lambda u: 1.0, 0.5, **kw)
 
 
 def walk_branches(alpha, depth=8, inner=40):
@@ -179,8 +171,8 @@ class TestApply:
     def test_scalar_psi_matches_ones_like(self, alpha):
         # psi is called on arrays of branch images; a constant that comes
         # back as one Python float must broadcast to the same sum
-        scalar = tr.apply_transfer(alpha, 1.0, lambda u: 1.0, 0.5, 500)
-        array = tr.apply_transfer(alpha, 1.0, np.ones_like, 0.5, 500)
+        scalar = tr.apply_transfer(alpha, 1.0, lambda u: 1.0, 0.5)
+        array = tr.apply_transfer(alpha, 1.0, np.ones_like, 0.5)
         assert scalar == array
 
     def test_truncated_parameter_raises(self):
@@ -199,10 +191,38 @@ class TestApply:
         f = lambda u: 1.0 / (1.0 + u)
         g = lambda u: u * u
         combo = lambda u: a / (1.0 + u) + b * u * u
-        lhs = tr.apply_transfer(ZERO, 1.0, combo, 0.4, 200)
-        rhs = (a * tr.apply_transfer(ZERO, 1.0, f, 0.4, 200).value
-               + b * tr.apply_transfer(ZERO, 1.0, g, 0.4, 200).value)
+        lhs = tr.apply_transfer(ZERO, 1.0, combo, 0.4)
+        rhs = (a * tr.apply_transfer(ZERO, 1.0, f, 0.4).value
+               + b * tr.apply_transfer(ZERO, 1.0, g, 0.4).value)
         assert lhs.value == pytest.approx(rhs, abs=1e-10)
+
+    def test_blocked_sum_matches_one_pass(self):
+        # parameter 0 is one infinite family, member i the image 1/(y+i)
+        # with weight (y+i)^-2: the block-by-block sum must agree with a
+        # single numpy pass over the same members and the same tail terms
+        psi = tr.closed_form_density("gauss")
+        lv, = tr._levels(ZERO).levels
+        z = 0.5 + np.arange(1, tr.INNER_MAX + 1, dtype=float)
+        terms = z ** -2.0 * psi(1.0 / z)
+        correction, bound = tr._family_tail_terms(psi, lv, 0.5, tr.INNER_MAX, 1.0)
+        want = float(np.sum(terms)) + correction
+        got = tr.apply_transfer(ZERO, 1.0, psi, 0.5)
+        eps = np.finfo(float).eps
+        assert got.tail == bound
+        assert abs(got.value - want) <= 8 * eps * (float(np.sum(np.abs(terms)))
+                                                   + abs(correction))
+
+    def test_peak_memory_bounded(self):
+        # the members are taken in blocks, so no temporary spans a family
+        psi = tr.closed_form_density("gauss")
+        tr.apply_transfer(ZERO, 1.0, psi, 0.5)  # fill the level cache
+        tracemalloc.start()
+        try:
+            tr.apply_transfer(ZERO, 1.0, psi, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
 
 
 def brute_matrix_rows(alpha, s, n, rows, members=4_000_000, chunk=1 << 18):
@@ -415,6 +435,18 @@ class TestDensities:
             tr.closed_form_density("k_series", K=0)
 
 
+class TestDensityRows:
+    def test_golden_row_names_its_largest_gap(self):
+        # the row reports the point closest to its bound, which with a
+        # bound scaled by the values is not where the largest gap is
+        psi = tr.closed_form_density("fibonacci")
+        gaps = [(abs(tr.apply_transfer(GOLDEN, 1.0, psi, y).value - psi(y)), y)
+                for y in np.linspace(0.05, 0.95, 20).tolist()]
+        gap, y = max(gaps, key=lambda row: row[0])
+        row, = [r for r in verify.suite_densities() if r.name == "density-golden"]
+        assert f"largest gap {gap:.3g} at y={y:.2f}" in row.detail
+
+
 class TestResiduals:
     def test_master_constant_golden_value(self):
         assert tr.residual_master(lambda u: 1, 1, 1, 1) == Fraction(-1, 2)
@@ -486,6 +518,11 @@ class TestEquivalences:
         for kind in ("alpha1-to-gauss", "half-plus-to-minus"):
             lhs, rhs = tr.transfer_equivalences(kind, psi, 1.0, 0.61)
             assert abs(lhs.value - rhs.value) <= lhs.tail + rhs.tail + 1e-9
+
+    def test_tails_far_below_a_wrong_conjugation(self):
+        psi = tr.closed_form_density("gauss")
+        lhs, rhs = tr.transfer_equivalences("alpha1-to-gauss", psi, 1.0, 0.3)
+        assert lhs.tail + rhs.tail < 1e-10
 
     def test_underscore_alias(self):
         a = tr.transfer_equivalences("alpha1_to_gauss", lambda u: 1.0, 1.0, 0.5)

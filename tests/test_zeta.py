@@ -2,11 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from cfdyn.cf import ContinuedFraction, ZERO
 from cfdyn.errors import DomainError
 from cfdyn.series import fibonacci, hurwitz_sum
+from cfdyn.transfer import apply_transfer
 from cfdyn import verify
 from cfdyn import zeta as zt
 
@@ -61,11 +63,31 @@ class TestHurwitz:
 
 class TestZetaAlpha:
     def test_reduces_to_hurwitz_for_zero_parameter(self):
+        # the closed form at parameter 0 against the branch walk it replaces
+        eps = np.finfo(float).eps
         for s in (1.0, 1.5, 2.0):
-            for y in (0.3, 0.7, 1.0):
-                branch = zt.zeta_alpha(ZERO, s, 0.0, y)
-                shifted = zt.hurwitz_zeta(2.0 * s, y + 1.0)
-                assert abs(branch.value - shifted.value) < 1e-10
+            for t in (0.0, 0.5, 1.0):
+                for y in (0.3, 0.7, 1.0):
+                    branch = apply_transfer(ZERO, s, lambda u: u ** t, y)
+                    closed = zt.zeta_alpha(ZERO, s, t, y)
+                    assert abs(branch.value - closed.value) \
+                        <= branch.tail + closed.tail \
+                        + 16 * eps * (branch.value + closed.value)
+
+    @pytest.mark.parametrize("t", [-0.5, -0.9])
+    def test_zero_parameter_negative_t(self, t):
+        # u^t is infinite at the family limit 0, which once left the whole
+        # dropped mass out of the sum.  sum_{i>=1} (y+i)^-p is bracketed by
+        # its first n terms plus the integrals of the rest from n+1 and n
+        s, y, n = 1.0, 0.5, 10 ** 6
+        p = 2.0 * s + t
+        head = float(np.sum((y + np.arange(1, n + 1, dtype=float)) ** -p))
+        lo = head + (y + n + 1) ** (1.0 - p) / (p - 1.0)
+        hi = head + (y + n) ** (1.0 - p) / (p - 1.0)
+        got = zt.zeta_alpha(ZERO, s, t, y)
+        slack = got.tail + 64 * np.finfo(float).eps * hi
+        assert math.isfinite(got.tail)
+        assert lo - slack <= got.value <= hi + slack
 
     def test_weighted_image_sum(self):
         # t=1 over the zero parameter collapses to a pure cube sum
