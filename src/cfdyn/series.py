@@ -1,6 +1,6 @@
-"""Shared numeric helpers: an exact Fibonacci table, the one
-Euler-Maclaurin engine behind every shifted power sum, and the
-(value, tail) pair that every series evaluator in this package returns."""
+"""Shared numeric helpers: an exact Fibonacci table and the bound on its
+reciprocal power sums, the one Euler-Maclaurin engine behind every
+shifted power sum, and the (value, tail) pair every series returns."""
 
 from __future__ import annotations
 
@@ -31,6 +31,13 @@ def fibonacci(k: int) -> int:
     while len(_FIB) <= k + 1:
         _FIB.append(_FIB[-1] + _FIB[-2])
     return _FIB[k + 1]
+
+
+def _fib_bound(p: float) -> float:
+    """phi^p / (1 - phi^-p) >= sum_{j>=1} F_j^(-p) for p > 0, as F_j >=
+    phi^(j-2); times u_1^(-p) it bounds sum_j u_j^(-p) when u_j >= F_j u_1."""
+    phi = (1.0 + math.sqrt(5.0)) / 2.0
+    return phi ** p / (1.0 - phi ** -p)
 
 
 # 12 explicit summands, then B_{2k}/(2k)! for k = 1..7: six corrections

@@ -29,7 +29,7 @@ from .cf import (
     minkowski_q,
 )
 from .errors import ConvergenceError, DomainError, TruncationExhausted
-from .series import SeriesValue, hurwitz_sum, power_tail
+from .series import SeriesValue, _fib_bound, hurwitz_sum, power_tail
 
 LOG2 = math.log(2.0)
 
@@ -37,8 +37,9 @@ HALF_MINUS = ContinuedFraction((2,))
 HALF_PLUS = ContinuedFraction((1, 1))
 
 # summation budgets: comparison depths walked, members per family summed
-# one by one (pointwise sums; gkw_matrix sums every member), and the weight
-# below which a level, or a missing digit, no longer counts
+# one by one (pointwise sums; gkw_matrix sums every member), and the stop
+# of every depth walk: the bound q_K^(-2s) (1 + zeta(2s, 1+y)) Phi(2s) on
+# all branches past level K, times sup|psi| for psi monotone, below TAIL_TOL
 DEPTH_MAX = 200
 INNER_MAX = 200_000
 TAIL_TOL = 1e-14
@@ -75,7 +76,6 @@ class _Level:
 class _LevelData:
     levels: tuple
     exhausted: bool   # truncated parameter ran out of digits
-    complete: bool    # expansion ended in an infinite digit (rational)
 
 
 @functools.lru_cache(maxsize=256)
@@ -90,7 +90,7 @@ def _levels(alpha: ContinuedFraction) -> _LevelData:
     complete = ended and alpha.is_rational
     if complete:
         levels.append(_Level(len(rows) + 1, INF, *before[-1], None, None))
-    return _LevelData(tuple(levels), ended and not complete, complete)
+    return _LevelData(tuple(levels), ended and not complete)
 
 
 def _walk(levels, inner_max: int) -> Iterator[tuple]:
@@ -104,13 +104,28 @@ def _walk(levels, inner_max: int) -> Iterator[tuple]:
         yield lv, m, count > m
 
 
-def _require_settled(data: _LevelData, s: float) -> None:
-    """Raise when a truncated parameter runs out of digits while its last
-    level still weighs more than TAIL_TOL."""
-    last_q = data.levels[-1].q if data.levels else 1
-    if data.exhausted and last_q ** (-2.0 * s) > TAIL_TOL:
+def _require_settled(data: _LevelData) -> None:
+    """Raise for a truncated parameter: its walk ran out of levels."""
+    if data.exhausted:
         raise TruncationExhausted(
             "parameter expansion has too few settled digits for this tolerance")
+
+
+def _depth_weight(s: float, y: float) -> float:
+    """(1 + zeta(2s, 1+y)) Phi(2s), times q_K^(-2s) the most all branches
+    past level K weigh: level k's member i weighs <= q_{k-1}^(-2s)
+    (y+i)^(-2s), its boundary <= q_{k-1}^(-2s), and q_{K+j-1} >= F_j q_K."""
+    zeta = hurwitz_sum(2.0 * s, 1.0 + y)
+    return (1.0 + zeta.value + zeta.tail) * _fib_bound(2.0 * s)
+
+
+def _ends(psi: Callable, a: float, b: float) -> tuple:
+    """(psi(a), psi(b)), or two infinities unless both are finite."""
+    try:
+        ends = float(psi(a)), float(psi(b))
+    except ZeroDivisionError:
+        ends = math.inf, math.inf
+    return ends if all(map(math.isfinite, ends)) else (math.inf, math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -121,36 +136,22 @@ def _family_tail_terms(psi: Callable, lv: _Level, y: float,
                        m: int, s: float) -> tuple:
     """(correction, bound) for the family members beyond index m.
 
-    The dropped images crowd against the family limit p/q, so psi(limit)
-    times the dropped weight is added to the sum and only the spread of
-    psi across that shrinking segment, probed at members m+1, m+2 and
-    m+4, is left in the bound (doubled, to cover mild non-monotone
-    variation).  When psi is not finite there, the whole dropped mass
-    goes into the bound instead, times the largest |psi| at the limit
-    and at members m+1, m+2, m+4, m+8 and m+16.  Those points bracket
-    the tail image segment, so that sup is a heuristic: it holds when
-    psi is monotone there, as the densities used here are, and nothing
-    checks that it is."""
+    Their images run from b_{m+1} to the family limit p/q, so psi(limit)
+    times their weight W is added to the sum.  For psi monotone on that
+    segment, the bound is W |psi(b_{m+1}) - psi(limit)| plus W's own tail
+    times the larger |psi| at the two ends.  A non-finite psi at either
+    end gives no correction and an infinite bound."""
     # dropped weight: members m+1.. up to the family's end, if it has one
     (head, cut), tails = power_tail(lv.q, lv.q * y + lv.qq, 2.0 * s,
                                     np.array([m + 1.0, lv.digit]))
     weight, werr = max(head - cut, 0.0), float(np.sum(tails))
-
-    def at(u: float) -> float:
-        try:
-            return float(psi(u))
-        except ZeroDivisionError:
-            return math.inf
-
-    zs = [y + i for i in (m + 1, m + 2, m + 4, m + 8, m + 16)]
-    probes = [at((lv.p * z + lv.pp) / (lv.q * z + lv.qq)) for z in zs]
-    at_limit = at(lv.p / lv.q)
-    # max() starting from 0.0 skips nan values, as comparisons with nan fail
-    spread = max(0.0, *(abs(v - at_limit) for v in probes[:3]))
-    if not (math.isfinite(at_limit) and math.isfinite(spread)):
-        sup = max(0.0, *(abs(v) for v in probes + [at_limit]))
-        return 0.0, (weight + werr) * sup
-    return weight * at_limit, 2.0 * weight * spread + werr * (abs(at_limit) + spread)
+    z = y + m + 1
+    at_limit, at_first = _ends(psi, lv.p / lv.q,
+                               (lv.p * z + lv.pp) / (lv.q * z + lv.qq))
+    if at_limit == math.inf:
+        return 0.0, math.inf
+    return (weight * at_limit, weight * abs(at_first - at_limit)
+            + werr * max(abs(at_limit), abs(at_first)))
 
 
 # family members per numpy pass: each temporary holds 128 KB and stays in
@@ -161,9 +162,16 @@ _BLOCK = 16_384
 
 def apply_transfer(alpha: ContinuedFraction, s: float, psi: Callable,
                    y: float) -> SeriesValue:
-    """Weighted branch sum  sum_b |b'(y)|^s psi(b(y))  with a certified
-    truncation tail; each infinite family's first INNER_MAX members are
-    summed one by one, in blocks of _BLOCK members added in order.
+    """Weighted branch sum  sum_b |b'(y)|^s psi(b(y))  with a truncation
+    tail, certified for psi monotone where the dropped images lie.
+
+    Each infinite family's first INNER_MAX members are summed one by one,
+    in blocks of _BLOCK members added in order; _family_tail_terms takes
+    the rest.  The walk stops after the first level K at which the depth
+    tail, q_K^(-2s) (1 + zeta(2s, 1+y)) Phi(2s) times the larger |psi| at
+    the ends of the parameter's depth-1 cylinder (which holds every deeper
+    image), is below TAIL_TOL * max(1, |sum|); a truncated parameter whose
+    settled levels run out first raises TruncationExhausted.
 
     psi is called on float arrays of branch images and on single floats,
     so it must be numpy-elementwise; a constant may come back as a scalar.
@@ -175,11 +183,8 @@ def apply_transfer(alpha: ContinuedFraction, s: float, psi: Callable,
     if not y > 0:
         raise DomainError("evaluation point must be positive")
     data = _levels(alpha)
-
-    total = 0.0
-    tail = 0.0
-    sums = []  # per-depth absolute sums, for the geometric depth bound
-    stopped_early = False
+    total = tail = depth_tail = 0.0
+    scale = None  # sup|psi| on the depth-1 cylinder times _depth_weight
     for lv, m, lumped in _walk(data.levels, INNER_MAX):
         level_sum = 0.0
         for start in range(1, m + 1, _BLOCK):
@@ -192,27 +197,20 @@ def apply_transfer(alpha: ContinuedFraction, s: float, psi: Callable,
             correction, bound = _family_tail_terms(psi, lv, y, m, s)
             level_sum += correction
             tail += bound
-        if lv.digit != INF:
-            den0 = lv.qk * y + lv.q
-            level_sum += den0 ** (-2.0 * s) * float(psi((lv.pk * y + lv.p) / den0))
+        if lv.digit == INF:  # a rational's last level: nothing lies deeper
+            return SeriesValue(total + level_sum, tail)
+        den0 = lv.qk * y + lv.q
+        level_sum += den0 ** (-2.0 * s) * float(psi((lv.pk * y + lv.p) / den0))
         total += level_sum
-        sums.append(abs(level_sum))
-        if len(sums) >= 2 and sums[-1] < TAIL_TOL * max(1.0, abs(total)) \
-                and sums[-2] < TAIL_TOL * max(1.0, abs(total)):
-            stopped_early = True
+        if scale is None:
+            ends = _ends(psi, lv.pk / lv.qk, (lv.pk + lv.p) / (lv.qk + lv.q))
+            scale = max(map(abs, ends)) * _depth_weight(s, y)
+        depth_tail = scale * lv.qk ** (-2.0 * s)
+        if depth_tail < TAIL_TOL * max(1.0, abs(total)):
             break
-
-    if not data.complete and len(sums) >= 2 and sums[-1] > 0.0:
-        # depth series truncated: bound the rest geometrically
-        ratio = sums[-1] / sums[-2] if sums[-2] > 0 else 0.0
-        if not stopped_early and ratio >= 0.9:
-            raise ConvergenceError(
-                f"depth sums are not contracting (ratio {ratio:.3f})", last=total)
-        ratio = min(ratio, 0.9)
-        tail += sums[-1] * ratio / (1.0 - ratio)
-    if not stopped_early:
-        _require_settled(data, s)
-    return SeriesValue(total, tail)
+    else:
+        _require_settled(data)
+    return SeriesValue(total, tail + depth_tail)
 
 
 # ---------------------------------------------------------------------------
@@ -227,13 +225,15 @@ def gkw_matrix(alpha: ContinuedFraction, s: float, n: int) -> np.ndarray:
     the uniform grid j/n: row j expresses (L psi)(y_j), with each branch
     image's weight split linearly between its two neighbouring nodes.
     A family's first _HEAD members are split one by one; the rest, to its
-    end or to infinity, are grouped by the cell their images fall in."""
+    end or to infinity, are grouped by the cell their images fall in.  The
+    walk stops once q_K^(-2s) _depth_weight(s, 0), which bounds what every
+    row drops as hats are <= 1, is below TAIL_TOL."""
     if n < 16:
         raise DomainError("grid size must be >= 16")
     if not 0.5 < s < math.inf:
         raise DomainError("branch series needs a finite s > 1/2")
     data = _levels(alpha)
-    _require_settled(data, s)
+    deeper = _depth_weight(s, 0.0)
     ys = np.linspace(0.0, 1.0, n + 1)[:, None]
     offsets = np.arange(n + 1)[:, None] * (n + 1)  # flat index of each row
     flat, mass = [], []
@@ -249,8 +249,6 @@ def gkw_matrix(alpha: ContinuedFraction, s: float, n: int) -> np.ndarray:
         split(idx, weights * (1.0 - frac), weights * frac)
 
     for lv in data.levels:
-        if lv.q ** (-2.0 * s) < TAIL_TOL:
-            break
         count = lv.digit - 1  # inf stays inf
         if count >= 1:
             z = ys + np.arange(1.0, min(count, _HEAD) + 1)
@@ -279,6 +277,10 @@ def gkw_matrix(alpha: ContinuedFraction, s: float, n: int) -> np.ndarray:
         if lv.digit != INF:
             den = lv.qk * ys + lv.q
             scatter(den ** (-2.0 * s), (lv.pk * ys + lv.p) / den)
+            if lv.qk ** (-2.0 * s) * deeper < TAIL_TOL:
+                break
+    else:
+        _require_settled(data)
     return np.bincount(np.concatenate(flat), np.concatenate(mass),
                        minlength=(n + 1) ** 2).reshape(n + 1, n + 1)
 
@@ -540,9 +542,7 @@ def qmark_pushforward(alpha: ContinuedFraction, y) -> SeriesValue:
     def qmark_of(fr: Fraction) -> Fraction:
         return minkowski_q(cf_from_rational(fr))
 
-    value = Fraction(0)
-    covered = Fraction(0)
-    done = False
+    value = covered = Fraction(0)
     # exactness budget: 64 levels and 64 members per family
     for lv, cap, _ in _walk(data.levels[:64], 64):
         members = [lv.interior_map(i) for i in range(1, cap + 1)]
@@ -555,9 +555,9 @@ def qmark_pushforward(alpha: ContinuedFraction, y) -> SeriesValue:
             value += abs(aty - at0)
             covered += abs(at1 - at0)
         if 1 - covered < Fraction(1, 10 ** 15):
-            done = True
             break
-    if data.exhausted and not done and float(1 - covered) > TAIL_TOL:
-        raise TruncationExhausted(
-            "parameter expansion has too few settled digits to cover the law")
+    else:
+        if data.exhausted and float(1 - covered) > TAIL_TOL:
+            raise TruncationExhausted(
+                "parameter expansion has too few settled digits to cover the law")
     return SeriesValue(value, 1 - covered)

@@ -5,10 +5,10 @@ measured residual sits at or below its bound.  Float rows bound it by the
 truncation tails their evaluations report plus a rounding allowance of a
 few dozen ulp, most adding the suite's ``tol`` too, so a pass at ``tol``
 0 certifies agreement, not luck.  k-minus-discretized is bounded by its
-grid's refinement distance.  Fixed-tolerance rows, bounded by ``tol``
-alone as their float residuals report no tail: master-sine,
-master-classical, master-parameter-one, master-golden, master-series-k2,
-master-series-k3 and lewis-classical-density.
+grid's refinement distance.  No row is bounded by ``tol`` alone: the
+functional equations on closed forms with rational values are checked in
+exact arithmetic with bound 0, and the rest carry the rounding allowance
+of the terms the equation combines.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import math
 import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -128,31 +129,41 @@ def _discretized_half_eigen():
 
 def suite_equations(tol: Optional[float] = None) -> list[CheckResult]:
     base = 1e-12 if tol is None else tol
-    out = []
+    fifths = [Fraction(k, 5) for k in range(1, 5)]
+    points = (Fraction(3, 7), Fraction(2, 9), Fraction(1, 2))
 
-    sine = lambda u: math.sin(2.0 * math.pi * u)
-    worst = max(abs(residual_master(sine, 1, 1.0, Fraction(k, 16)))
-                for k in range(3, 13))
-    out.append(_check("master-sine", worst, base,
-                      "sin(2 pi y) at the ten points k/16, k=3..12"))
+    def exact(name, residual, ys, detail) -> CheckResult:
+        return _check(name, max(abs(residual(y)) for y in ys), 0.0,
+                      f"{detail}, exact arithmetic")
 
-    for label, _, which, k in DENSITY_PAIRS:
-        psi = closed_form_density(which, K=k)
-        worst = max(abs(residual_master(psi, 1, 1.0, y))
-                    for y in (0.2, 0.4, 0.6, 0.8))
-        out.append(_check(f"master-{label}", worst, base,
-                          "closed-form density, s=1, unit eigenvalue"))
+    def rounded(name, psi, ys, detail) -> CheckResult:
+        rows = []
+        for y in ys:  # the allowance covers the six terms the equation adds
+            w, v = y ** -2, (1 + y) ** -2
+            terms = (psi(y), psi(1 + y), w * psi(1 / y), w * psi(1 + 1 / y),
+                     v * psi(y / (1 + y)), v * psi(1 / (1 + y)))
+            rows.append((abs(residual_master(psi, 1, 1.0, y)),
+                         base + _rounding(*terms), f"y={y}"))
+        return _worst(name, rows, f"{detail}; bound = tol + rounding allowance")
 
-    psi = closed_form_density("gauss")
-    worst = max(abs(residual_b(psi, 1, 1.0, y)) for y in (0.2, 0.5, 0.8))
-    out.append(_check("lewis-classical-density", worst, base,
-                      "companion three-term form on the classical density"))
-
-    inv = lambda u: 1 / u
-    worst = max(abs(residual_kernel_eta(inv, 1, y))
-                for y in (Fraction(3, 7), Fraction(2, 9), Fraction(1, 2)))
-    out.append(_check("kernel-eta-exact", worst, 0.0,
-                      "eta(y)=1/y at rational points, exact arithmetic"))
+    out = [rounded("master-sine", lambda u: math.sin(2.0 * math.pi * u),
+                   [Fraction(k, 16) for k in range(3, 13)],
+                   "sin(2 pi y) at the ten points k/16, k=3..12")]
+    # the densities with rational values (the classical one times log 2)
+    gauss, inv, golden = (lambda u: 1 / (1 + u), lambda u: 1 / u,
+                          lambda u: 1 / (u * (u + 1)))
+    detail = "closed-form density, s=1, unit eigenvalue"
+    for label, psi in (("classical", gauss), ("parameter-one", inv),
+                       ("golden", golden)):
+        out.append(exact(f"master-{label}", partial(residual_master, psi, 1, 1),
+                         fifths, f"{detail}, at k/5"))
+    out += [rounded(f"master-series-k{K}", closed_form_density("k_series", K=K),
+                    (0.2, 0.4, 0.6, 0.8), detail) for K in (2, 3)]
+    out.append(exact("lewis-classical-density", partial(residual_b, gauss, 1, 1),
+                     fifths, "companion three-term form on the classical "
+                     "density at k/5"))
+    out.append(exact("kernel-eta-exact", partial(residual_kernel_eta, inv, 1),
+                     points, "eta(y)=1/y at rational points"))
 
     grid, disc = _discretized_half_eigen()
 
@@ -168,16 +179,11 @@ def suite_equations(tol: Optional[float] = None) -> list[CheckResult]:
                       f"five-point identity on the grid eigenfunction; "
                       f"discretization error {disc:.2e}"))
 
-    points = (Fraction(3, 7), Fraction(2, 9), Fraction(1, 2))
-    worst = max(abs(residual_lewis(inv, 1, y)) for y in points)
-    out.append(_check("lewis-exact", worst, 0.0,
-                      "psi(y)=1/y at rational points, exact arithmetic"))
-
-    golden = lambda u: 1 / (u * (u + 1))
-    worst = max(abs(residual_fib_threeterm(golden, 1, 1, y)) for y in points)
-    out.append(_check("fib-threeterm-exact", worst, 0.0,
-                      "psi(y)=1/(y(y+1)) at rational points, exact "
-                      "arithmetic"))
+    out.append(exact("lewis-exact", partial(residual_lewis, inv, 1), points,
+                     "psi(y)=1/y at rational points"))
+    out.append(exact("fib-threeterm-exact",
+                     partial(residual_fib_threeterm, golden, 1, 1), points,
+                     "psi(y)=1/(y(y+1)) at rational points"))
     return out
 
 

@@ -16,11 +16,9 @@ import math
 import sys
 
 from .cf import ZERO, ContinuedFraction
-from .errors import ConvergenceError, DomainError
-from .series import SeriesValue, hurwitz_sum
+from .errors import DomainError
+from .series import SeriesValue, _fib_bound, hurwitz_sum
 from .transfer import apply_transfer
-
-PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
 
 hurwitz_zeta = hurwitz_sum   # sum_{n>=0} (n+a)^(-z), certified tail
@@ -45,7 +43,7 @@ def zeta_alpha(alpha: ContinuedFraction, s: float, t: float,
     return apply_transfer(alpha, s, power, y)
 
 
-_FIB_TERMS = 400  # summands before the geometric tail takes over
+_FIB_TERMS = 400  # summands before the tail bound takes over
 
 
 def fib_hurwitz(s: float, t: float, y: float) -> SeriesValue:
@@ -53,9 +51,9 @@ def fib_hurwitz(s: float, t: float, y: float) -> SeriesValue:
     F_{-1} = 1.  The bases u_k = F_k y + F_{k-1} follow u_{k+1} = u_k +
     u_{k-1} from u_0 = 1, u_1 = y, and each summand is taken as
     exp(t log u_k - (2s+t) log u_{k+1}) so that no power overflows.
-    Terms decay geometrically with ratio -> phi^(-2s); the reported tail
-    is that geometric bound, inflated to stay above the pre-asymptotic
-    oscillation."""
+    Past the last summand k >= 1 the tail is max(1, 2^-t) u_{k+2}^(-2s)
+    Phi(2s), Phi from series._fib_bound: from j = 2 on u_j <= u_{j+1} <=
+    2 u_j, so summand j is at most max(1, 2^-t) u_{j+1}^(-2s)."""
     if s <= 0:
         raise DomainError("terms only decay for s > 0")
     if not y > 0:
@@ -64,27 +62,15 @@ def fib_hurwitz(s: float, t: float, y: float) -> SeriesValue:
     u_prev, u = 1.0, y
     log_prev = 0.0  # log u_0
     total = 0.0
-    prev_term = None
-    term = 0.0
     for _ in range(_FIB_TERMS):
         log_u = math.log(u)
-        prev_term, term = term, math.exp(t * log_prev - power * log_u)
+        term = math.exp(t * log_prev - power * log_u)
         total += term
+        u_prev, u, log_prev = u, u + u_prev, log_u
         if term < 1e-18 * total:
             break
-        u_prev, u, log_prev = u, u + u_prev, log_u
-    if term == 0.0:
-        return SeriesValue(total, 0.0)
-    measured = term / prev_term if prev_term else 0.0
-    ratio = 1.1 * max(measured, PHI ** (-2.0 * s))
-    if ratio >= 0.97:
-        if term < 1e-15 * total:
-            ratio = 0.97
-        else:
-            raise ConvergenceError(
-                f"cannot certify the geometric tail (ratio {ratio:.3f})",
-                last=total)
-    return SeriesValue(total, term * ratio / (1.0 - ratio))
+    return SeriesValue(total, max(1.0, 2.0 ** -t) * u ** (-2.0 * s)
+                       * _fib_bound(2.0 * s))  # u is u_{k+2} here
 
 
 def fib_zeta(s: float) -> SeriesValue:

@@ -172,7 +172,7 @@ class TestSpectrumCommand:
         # at 2048 the bracket stays a few ulp above 8 ulp of the root
         code = cli.main(["spectrum", "--alpha", "(1)", "--grid", "2048"])
         assert code == 0
-        assert capsys.readouterr().out.startswith("lambda 1.0002468812890428\n")
+        assert capsys.readouterr().out.startswith("lambda 1.0002468812890433\n")
 
 
 class TestLyapunovCommand:
@@ -232,6 +232,15 @@ class TestVerifyCommand:
         code = cli.main(["verify", "--suite", "zeta", "--tol", "0"])
         report = json.loads(capsys.readouterr().out)
         assert code == (0 if report["passed"] else 1)
+
+    def test_whole_report_passes_at_zero_tolerance(self, capsys):
+        # every float row carries its own tails and rounding allowance and
+        # every other row is exact, so no row leans on the fixed tolerance
+        code = cli.main(["verify", "--tol", "0"])
+        report = json.loads(capsys.readouterr().out)
+        failed = [c["name"] for rows in report["suites"].values()
+                  for c in rows if not c["passed"]]
+        assert (code, failed) == (0, [])
 
 
 def _exact_heatmap(n, k, variant):

@@ -1,5 +1,6 @@
 """Tests for the transfer-operator module."""
 
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -40,6 +41,26 @@ def walk_branches(alpha, depth=8, inner=40):
         if lv.digit != math.inf:
             rows.append(("boundary", lv.depth, lv.boundary_map()))
     return rows
+
+
+def periodic_level_sums(period, s, psi, y, depth=200):
+    """Level sums of the branch series of the purely periodic parameter
+    [0; (period)], from its convergents, each level's terms added by
+    math.fsum: level k holds the members [0; a_1..a_{k-1}, i + y] for
+    i < a_k and the boundary branch [0; a_1..a_{k-1}, a_k + 1/y]."""
+    p, pp, q, qq = 0, 1, 1, 0  # convergents of depths 0 and -1
+    sums = []
+    for a in itertools.islice(itertools.cycle(period), depth):
+        terms = []
+        for i in range(1, a):
+            den = q * (y + i) + qq
+            terms.append(den ** (-2.0 * s) * psi((p * (y + i) + pp) / den))
+        pk, qk = a * p + pp, a * q + qq
+        den = qk * y + q
+        terms.append(den ** (-2.0 * s) * psi((pk * y + p) / den))
+        sums.append(math.fsum(terms))
+        p, pp, q, qq = pk, p, qk, q
+    return sums
 
 
 def matrix_rows(alpha, depth=8, inner=40):
@@ -89,7 +110,7 @@ class TestBranches:
         assert max(depth for _, depth, _ in branches) == 2
         assert sum(depth == 2 for _, depth, _ in branches) == 25
         data = tr._levels(tr.HALF_MINUS)
-        assert data.complete and not data.exhausted
+        assert data.levels[-1].digit == math.inf and not data.exhausted
         lumped = [lumped for _, _, lumped in tr._walk(data.levels, 25)]
         assert lumped == [False, True]
 
@@ -196,6 +217,43 @@ class TestApply:
                + b * tr.apply_transfer(ZERO, 1.0, g, 0.4).value)
         assert lhs.value == pytest.approx(rhs, abs=1e-10)
 
+    @pytest.mark.parametrize("period", [(1, 2), (2, 1), (1,), (2,), (1, 3),
+                                        (1, 1, 2), (3, 1, 1, 1, 40)],
+                             ids=lambda p: ",".join(map(str, p)))
+    def test_depth_tail_covers_dropped_levels(self, period, monkeypatch):
+        # the levels past the last one the walk reaches, summed to depth
+        # 200 here, must sit under the reported tail for psi monotone on
+        # the parameter's cylinders
+        seen = []
+        walk = tr._walk
+
+        def spy(levels, inner):
+            for item in walk(levels, inner):
+                seen.append(item[0].depth)
+                yield item
+
+        monkeypatch.setattr(tr, "_walk", spy)
+        alpha = ContinuedFraction((), period)
+        psis = (lambda u: 1.0, lambda u: 1.0 / (u * (1.0 + u)),
+                lambda u: u ** -0.5)
+        for s in (0.75, 1.0):
+            for y in (0.3, 0.9):
+                for psi in psis:
+                    seen.clear()
+                    got = tr.apply_transfer(alpha, s, psi, y)
+                    sums = periodic_level_sums(period, s, psi, y)
+                    dropped = math.fsum(sums[max(seen):])
+                    assert dropped <= got.tail, (s, y, dropped, got.tail)
+
+    def test_non_finite_psi_at_an_end_gives_infinite_tail(self):
+        # 1/(1-u) blows up at 1, an end of the depth-1 cylinder [1/2, 1] of
+        # (1); 1/u at 0, the family limit of parameter 0.  Neither tail can
+        # be certified, while every branch image keeps the sums finite
+        golden = tr.apply_transfer(GOLDEN, 1.0, lambda u: 1.0 / (1.0 - u), 0.5)
+        zero = tr.apply_transfer(ZERO, 1.0, lambda u: 1.0 / u, 0.5)
+        for got in (golden, zero):
+            assert math.isfinite(got.value) and got.tail == math.inf
+
     def test_blocked_sum_matches_one_pass(self):
         # parameter 0 is one infinite family, member i the image 1/(y+i)
         # with weight (y+i)^-2: the block-by-block sum must agree with a
@@ -294,6 +352,18 @@ class TestMatrix:
         for j in range(1, n + 1):
             want = tr.hurwitz_image(kind, s, j / n)
             assert abs(m[j].sum() - want.value) <= want.tail + 1e-12
+
+    @pytest.mark.parametrize("s", [0.75, 1.0])
+    @pytest.mark.parametrize("period", [(1,), (2,), (1, 2), (2, 1)],
+                             ids=lambda p: ",".join(map(str, p)))
+    def test_row_sums_drop_at_most_tail_tol(self, period, s):
+        # hats conserve each branch's weight, so a row sums to every
+        # branch weight the matrix keeps; these families are all finite
+        n = 32
+        m = tr.gkw_matrix(ContinuedFraction((), period), s, n)
+        for j in range(n + 1):
+            want = math.fsum(periodic_level_sums(period, s, lambda u: 1.0, j / n))
+            assert abs(want - m[j].sum()) <= tr.TAIL_TOL, j
 
     def test_gauss_row_sums_are_shifted_power_sums(self):
         n = 32

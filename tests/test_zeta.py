@@ -151,6 +151,15 @@ class TestFibHurwitz:
         for a, b in zip(vals, vals[1:]):
             assert a.value <= b.value <= a.value + a.tail
 
+    def test_slow_decay_has_a_finite_covering_tail(self):
+        # at s = 0.05 the summands F_{k+2}^-0.1 shrink by phi^-0.1 ~ 0.95
+        # a step, so the summand cap stops far above the rounding floor
+        got = zt.fib_hurwitz(0.05, 0.0, 1.0)
+        longer = math.fsum(math.exp(-0.1 * math.log(fibonacci(k + 2)))
+                           for k in range(3000))
+        assert math.isfinite(got.tail)
+        assert got.value <= longer <= got.value + got.tail
+
     def test_rejects_divergent(self):
         with pytest.raises(DomainError):
             zt.fib_hurwitz(0.0, 0.0, 1.0)
