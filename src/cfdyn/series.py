@@ -48,32 +48,54 @@ _BERNOULLI = np.array([1 / 12, -1 / 720, 1 / 30240, -1 / 1209600,
 _EVEN = 2.0 * np.arange(7)
 
 
-def power_tail(a, b, p: float, start) -> SeriesValue:
+def _power(u, e):
+    """u ** e, rounded for an array of exponents as numpy rounds a scalar
+    exponent: at -1 that is the reciprocal, which rounds differently from
+    numpy's general power."""
+    if isinstance(e, np.ndarray) and (e == -1.0).any():
+        return np.where(e == -1.0, 1.0 / u, u ** e)
+    return u ** e
+
+
+def power_tail(a, b, p, start) -> SeriesValue:
     """sum_{i >= start} (a*i + b)^(-p) by Euler-Maclaurin: 12 explicit
     summands, the integral and six Bernoulli corrections.  The summand is
     completely monotone in i, so the remainder lies below the first
     omitted correction, returned as the tail (Olver, Asymptotics and
-    Special Functions, 1974, 8.3).  a, b and start may be numpy arrays,
-    giving elementwise sums; an infinite start gives 0.  At p = 1 the sum
+    Special Functions, 1974, 8.3).  a, b, p and start are scalars or numpy
+    arrays, broadcast together to give elementwise sums, each the same
+    bits as its scalar call; an infinite start gives 0.  At p = 1 the sum
     diverges; the integral term -log(u)/a then makes the value at start 0
     -(digamma(b/a) + log a)/a, and differences at one a converge."""
     u0 = a * start + b
-    shape = np.shape(u0)
+    vector = getattr(p, "ndim", 0) > 0
+    scalar = not vector and getattr(u0, "ndim", 0) == 0
     # numpy's array and scalar powers round differently, so scalars are
     # summed as one-element arrays: a point's sum never depends on its batch
     a, u0 = (np.array(v, dtype=float, ndmin=1)[..., None] for v in (a, u0))
-    if not (1 <= p < math.inf and a.min() > 0 and u0.min() > 0):
+    if vector:
+        p = np.asarray(p, dtype=float)[..., None]
+        lo, hi = p.min(), p.max()
+    else:
+        p = lo = hi = float(p)
+    if not (1 <= lo and hi < math.inf and a.min() > 0 and u0.min() > 0):
         raise DomainError("need a > 0, summands > 0 and a finite p >= 1")
     u = u0 + a * _EXPLICIT.size
-    integral = -np.log(u) / a if p == 1 else u ** (1.0 - p) / (a * (p - 1.0))
+    if vector:
+        one = p == 1  # where the integral is -log(u)/a, not this quotient
+        integral = _power(u, 1.0 - p) / (a * (p - 1.0 + one))
+        if one.any():
+            integral = np.where(one, -np.log(u) / a, integral)
+    else:
+        integral = -np.log(u) / a if p == 1 else u ** (1.0 - p) / (a * (p - 1.0))
     # the k-th correction: B_{2k}/(2k)! (p)_{2k-1} a^(2k-1) u^(1-p-2k)
-    coeffs = _BERNOULLI * np.cumprod(p + np.arange(13.0))[::2]
+    coeffs = _BERNOULLI * np.cumprod(p + np.arange(13.0), axis=-1)[..., ::2]
     corr = coeffs * (a * u ** (-p - 1.0)) * (a / u) ** _EVEN
-    total = (np.add.reduce((u0 + a * _EXPLICIT) ** -p, axis=-1)
+    total = (np.add.reduce(_power(u0 + a * _EXPLICIT, -p), axis=-1)
              + np.add.reduce(corr[..., :-1], axis=-1)
-             + (integral + 0.5 * u ** -p)[..., 0])
+             + (integral + 0.5 * _power(u, -p))[..., 0])
     tail = np.abs(corr[..., -1])
-    return SeriesValue(total.reshape(shape)[()], tail.reshape(shape)[()])
+    return SeriesValue(total[0], tail[0]) if scalar else SeriesValue(total, tail)
 
 
 def hurwitz_sum(z: float, a: float) -> SeriesValue:

@@ -37,11 +37,13 @@ HALF_MINUS = ContinuedFraction((2,))
 HALF_PLUS = ContinuedFraction((1, 1))
 
 # summation budgets: comparison depths walked, members per family summed
-# one by one (pointwise sums; gkw_matrix sums every member), and the stop
-# of every depth walk: the bound q_K^(-2s) (1 + zeta(2s, 1+y)) Phi(2s) on
-# all branches past level K, times sup|psi| for psi monotone, below TAIL_TOL
+# one by one in pointwise sums (gkw_matrix sums every member; the rest of
+# a family is bracketed by quadratics, certified for psi''' of one sign),
+# and the stop of every depth walk: the bound q_K^(-2s) (1 + zeta(2s, 1+y))
+# Phi(2s) on all branches past level K, times sup|psi| for psi monotone,
+# below TAIL_TOL
 DEPTH_MAX = 200
-INNER_MAX = 200_000
+INNER_MAX = 2048
 TAIL_TOL = 1e-14
 
 
@@ -111,70 +113,151 @@ def _require_settled(data: _LevelData) -> None:
             "parameter expansion has too few settled digits for this tolerance")
 
 
-def _depth_weight(s: float, y: float) -> float:
+def _depth_weight(s: float, zeta: SeriesValue) -> float:
     """(1 + zeta(2s, 1+y)) Phi(2s), times q_K^(-2s) the most all branches
     past level K weigh: level k's member i weighs <= q_{k-1}^(-2s)
-    (y+i)^(-2s), its boundary <= q_{k-1}^(-2s), and q_{K+j-1} >= F_j q_K."""
-    zeta = hurwitz_sum(2.0 * s, 1.0 + y)
+    (y+i)^(-2s), its boundary <= q_{k-1}^(-2s), and q_{K+j-1} >= F_j q_K.
+    zeta is the Hurwitz sum zeta(2s, 1+y) or an upper bound on it."""
     return (1.0 + zeta.value + zeta.tail) * _fib_bound(2.0 * s)
 
 
-def _ends(psi: Callable, a: float, b: float) -> tuple:
-    """(psi(a), psi(b)), or two infinities unless both are finite."""
-    try:
-        ends = float(psi(a)), float(psi(b))
-    except ZeroDivisionError:
-        ends = math.inf, math.inf
-    return ends if all(map(math.isfinite, ends)) else (math.inf, math.inf)
+def _zeta_cap(p: float, a: float) -> SeriesValue:
+    """a^-p + a^(1-p)/(p-1) >= zeta(p, a): the terms past the first lie
+    under the integral of t^-p from a."""
+    return SeriesValue(a ** -p + a ** (1.0 - p) / (p - 1.0), 0.0)
+
+
+def _sup_at_ends(psi: Callable, a: float, b: float) -> float:
+    """max(|psi(a)|, |psi(b)|) from one call of psi, or infinity unless
+    both are finite."""
+    with np.errstate(all="ignore"):
+        ends = np.abs(np.asarray(psi(np.array([a, b])), dtype=float))
+    return float(ends.max()) if np.all(np.isfinite(ends)) else math.inf
 
 
 # ---------------------------------------------------------------------------
 # pointwise application
 
 
-def _family_tail_terms(psi: Callable, lv: _Level, y: float,
-                       m: int, s: float) -> tuple:
+def _family_tail_terms(lv: _Level, y: float, m: int, f, sums) -> tuple:
     """(correction, bound) for the family members beyond index m.
 
-    Their images run from b_{m+1} to the family limit p/q, so psi(limit)
-    times their weight W is added to the sum.  For psi monotone on that
-    segment, the bound is W |psi(b_{m+1}) - psi(limit)| plus W's own tail
-    times the larger |psi| at the two ends.  A non-finite psi at either
-    end gives no correction and an infinite bound."""
-    # dropped weight: members m+1.. up to the family's end, if it has one
-    (head, cut), tails = power_tail(lv.q, lv.q * y + lv.qq, 2.0 * s,
-                                    np.array([m + 1.0, lv.digit]))
-    weight, werr = max(head - cut, 0.0), float(np.sum(tails))
-    z = y + m + 1
-    at_limit, at_first = _ends(psi, lv.p / lv.q,
-                               (lv.p * z + lv.pp) / (lv.q * z + lv.qq))
-    if at_limit == math.inf:
+    Member i weighs u^(-2s) and has the image p/q - det/(q u), u = q(y+i)
+    + qq and det = p qq - pp q, so along the family psi is a function F of
+    x = 1/u.  The dropped members fill [x0, x1], x1 = 1/u_{m+1}, where x0
+    is 0 (the limit p/q) for an infinite family and the last member's x
+    for a finite one.  f holds psi at x0, at x1 and at the images of
+    members 2m/3 and m/2, x2 ~ 3 x1 / 2 and x3 ~ 2 x1.  A quadratic
+    through three nodes misses F by F'''(xi)/6 times the product of x
+    minus each node, so for F''' of one sign on [x0, x3] the quadratics P
+    through (x0, x1, x2) and Q through (x1, x2, x3) bracket F on [x0, x1].
+    Both sum in closed form, as sum_i u_i^(-2s) x_i^k is the power sum S_k
+    of exponent 2s + k; ``sums`` is the power_tail pair over k = 0, 1, 2
+    from member m+1 and from the family's end.  The correction sums P, the
+    interpolant.  The bound is the bracket's width, Q - P = kappa (x - x1)
+    (x - x2) summed, plus the power sums' own tails times the coefficients
+    of P and of Q - P.
+
+    The assumption is psi''' of one sign from the family's far end to
+    member m/2's image; a quadratic psi there leaves only rounding and the
+    power sums' tails.  A non-finite psi at any of the four points gives
+    no correction and an infinite bound."""
+    if not all(map(math.isfinite, f)):
         return 0.0, math.inf
-    return (weight * at_limit, weight * abs(at_first - at_limit)
-            + werr * max(abs(at_limit), abs(at_first)))
+    (head, cut), tails = sums
+    weight, werr = np.maximum(head - cut, 0.0), np.sum(tails, axis=0)
+    x0, x1, x2, x3 = (1.0 / (lv.q * (y + i) + lv.qq)
+                      for i in (lv.digit - 1, m + 1, 2 * m // 3, m // 2))
+    f0, f1, f2, f3 = f
+    d01, d12 = (f1 - f0) / (x1 - x0), (f2 - f1) / (x2 - x1)
+    lower = (d12 - d01) / (x2 - x0)  # F[x0, x1, x2], P's leading coefficient
+    kappa = ((f3 - f2) / (x3 - x2) - d12) / (x3 - x1) - lower
+    coeffs = np.array([f0 - d01 * x0 + lower * x0 * x1,
+                       d01 - lower * (x0 + x1), lower])
+    spread = abs(kappa) * np.array([x1 * x2, -(x1 + x2), 1.0])
+    width = max(float(spread @ weight), 0.0)
+    return (float(coeffs @ weight),
+            width + float((np.abs(coeffs) + np.abs(spread)) @ werr))
 
 
-# family members per numpy pass: each temporary holds 128 KB and stays in
-# cache, where one pass over INNER_MAX members makes 1.6 MB temporaries
-# whose time grows faster than the member count
-_BLOCK = 16_384
+def _reach(levels, s: float, cap: float) -> tuple:
+    """(levels, weights q_k^(-2s)) of the walk's reach: through a
+    rational's last level, or through the first level whose weight times
+    cap is below TAIL_TOL."""
+    reached, weights = [], []
+    for lv in levels:
+        reached.append(lv)
+        if lv.digit == INF:
+            break
+        weights.append(lv.qk ** (-2.0 * s))
+        if weights[-1] * cap < TAIL_TOL:
+            break
+    return reached, weights
+
+
+def _images(levels, counts: list, offsets, y: float) -> tuple:
+    """(images, den, den0, families) for one call of psi: the images of
+    each level's first ``counts`` members, whose denominators are den, of
+    the boundary branches of the finite levels (den0), then per family
+    summed past INNER_MAX its far end and member m+1; a float past an
+    infinite family's end is its limit p/q.  families holds (level, m,
+    offset of its first member)."""
+    rows = np.repeat(np.array([(lv.p, lv.pp, lv.q, lv.qq) for lv in levels],
+                              dtype=float), counts, axis=0)
+    z = y + (np.arange(offsets[-1]) - np.repeat(offsets[:-1], counts) + 1.0)
+    den = rows[:, 2] * z + rows[:, 3]
+    ends = np.array([(lv.pk, lv.p, lv.qk, lv.q) for lv in levels
+                     if lv.digit != INF], dtype=float).reshape(-1, 4)
+    den0 = ends[:, 2] * y + ends[:, 3]
+    families = [(lv, m, at) for lv, m, at in zip(levels, counts, offsets)
+                if lv.digit - 1 > m]
+    probes = [(lv.p * t + lv.pp) / (lv.q * t + lv.qq) if t < INF else lv.p / lv.q
+              for lv, m, _ in families for t in (y + lv.digit - 1, y + m + 1)]
+    images = np.concatenate(((rows[:, 0] * z + rows[:, 1]) / den,
+                             (ends[:, 0] * y + ends[:, 1]) / den0, probes))
+    return images, den, den0, families
+
+
+def _family_tails(families, s: float, y: float, probes, members) -> tuple:
+    """(zeta(2s, 1+y), an iterator of each family's (correction,
+    bound)) from one power_tail call: zeta, then each family's power sums
+    of exponents 2s, 2s+1 and 2s+2 from member m+1 and from its end."""
+    sums = power_tail(*np.array(
+        [(1.0, 1.0 + y, 2.0 * s, 0.0)]
+        + [(lv.q, lv.q * y + lv.qq, 2.0 * s + k, start) for lv, m, _ in families
+           for start in (m + 1.0, lv.digit) for k in range(3)]).T)
+    terms = []
+    for (lv, m, at), ends, *pair in zip(families, probes.reshape(-1, 2),
+                                        sums.value[1:].reshape(-1, 2, 3),
+                                        sums.tail[1:].reshape(-1, 2, 3)):
+        f = (*ends, members[at + 2 * m // 3 - 1], members[at + m // 2 - 1])
+        terms.append(_family_tail_terms(lv, y, m, f, pair))
+    return SeriesValue(sums.value[0], sums.tail[0]), iter(terms)
 
 
 def apply_transfer(alpha: ContinuedFraction, s: float, psi: Callable,
                    y: float) -> SeriesValue:
     """Weighted branch sum  sum_b |b'(y)|^s psi(b(y))  with a truncation
-    tail, certified for psi monotone where the dropped images lie.
+    tail, certified for psi monotone on the parameter's depth-1 cylinder
+    and psi''' of one sign near each family limit (_family_tail_terms).
 
-    Each infinite family's first INNER_MAX members are summed one by one,
-    in blocks of _BLOCK members added in order; _family_tail_terms takes
-    the rest.  The walk stops after the first level K at which the depth
-    tail, q_K^(-2s) (1 + zeta(2s, 1+y)) Phi(2s) times the larger |psi| at
-    the ends of the parameter's depth-1 cylinder (which holds every deeper
-    image), is below TAIL_TOL * max(1, |sum|); a truncated parameter whose
-    settled levels run out first raises TruncationExhausted.
-
-    psi is called on float arrays of branch images and on single floats,
+    psi is called once on the two ends of the depth-1 cylinder, then once
+    on one float array that holds every branch image the walk can reach,
     so it must be numpy-elementwise; a constant may come back as a scalar.
+    Both calls run with numpy's floating-point warnings off, as the array
+    can reach past the level where the walk stops.
+
+    Each family's first INNER_MAX members are summed one by one;
+    _family_tail_terms takes the rest.  The walk stops after the first
+    level K at which the depth tail, q_K^(-2s) (1 + zeta(2s, 1+y)) Phi(2s)
+    times the larger |psi| at the ends of the depth-1 cylinder (which holds
+    every deeper image), is below TAIL_TOL * max(1, |sum|).  An infinite
+    |psi| there leaves the tail infinite, and the walk stops on the
+    psi-free weight instead.  Either stop holds by the first level whose
+    weight, with zeta(2s, 1+y) capped by _zeta_cap, is below TAIL_TOL: that
+    level ends the array.  A truncated parameter whose settled levels run
+    out first raises TruncationExhausted.
+
     y is normally in (0,1) but any positive y is accepted: every branch
     image stays inside (0,1), which is what lets grid eigenfunctions be
     extended past 1 through this very sum."""
@@ -183,30 +266,38 @@ def apply_transfer(alpha: ContinuedFraction, s: float, psi: Callable,
     if not y > 0:
         raise DomainError("evaluation point must be positive")
     data = _levels(alpha)
+    first = data.levels[0]
+    sup = 0.0 if first.digit == INF else _sup_at_ends(
+        psi, first.pk / first.qk, (first.pk + first.p) / (first.qk + first.q))
+    cap = _depth_weight(s, _zeta_cap(2.0 * s, 1.0 + y))
+    # an infinite scale leaves the depth tail infinite: reach by the weight
+    scale_cap = cap * sup if cap * sup < math.inf else cap
+    levels, weights = _reach(data.levels, s, scale_cap)
+    counts = [min(lv.digit - 1, INNER_MAX) for lv in levels]
+    offsets = np.cumsum([0] + counts)
+    images, den, den0, families = _images(levels, counts, offsets, y)
+    with np.errstate(all="ignore"):
+        values = np.broadcast_to(np.asarray(psi(images), dtype=float), images.shape)
+    members, bounds, probes = np.split(values,
+                                       offsets[-1] + np.array([0, len(den0)]))
+    terms = den ** (-2.0 * s) * members
+    boundary = [d ** (-2.0 * s) * v for d, v in zip(den0.tolist(), bounds.tolist())]
+    zeta, family_terms = _family_tails(families, s, y, probes, members)
+    scale = sup * _depth_weight(s, zeta)
+    stop = scale if scale < math.inf else _depth_weight(s, zeta)
+
     total = tail = depth_tail = 0.0
-    scale = None  # sup|psi| on the depth-1 cylinder times _depth_weight
-    for lv, m, lumped in _walk(data.levels, INNER_MAX):
-        level_sum = 0.0
-        for start in range(1, m + 1, _BLOCK):
-            z = y + np.arange(start, min(start + _BLOCK, m + 1), dtype=float)
-            den = lv.q * z + lv.qq
-            weights = den ** (-2.0 * s)
-            values = np.asarray(psi((lv.p * z + lv.pp) / den), dtype=float)
-            level_sum += float(np.sum(weights * values))
+    for k, (lv, m, lumped) in enumerate(_walk(levels, INNER_MAX)):
+        level_sum = float(np.sum(terms[offsets[k]:offsets[k + 1]])) if m else 0.0
         if lumped:
-            correction, bound = _family_tail_terms(psi, lv, y, m, s)
+            correction, bound = next(family_terms)
             level_sum += correction
             tail += bound
         if lv.digit == INF:  # a rational's last level: nothing lies deeper
             return SeriesValue(total + level_sum, tail)
-        den0 = lv.qk * y + lv.q
-        level_sum += den0 ** (-2.0 * s) * float(psi((lv.pk * y + lv.p) / den0))
-        total += level_sum
-        if scale is None:
-            ends = _ends(psi, lv.pk / lv.qk, (lv.pk + lv.p) / (lv.qk + lv.q))
-            scale = max(map(abs, ends)) * _depth_weight(s, y)
-        depth_tail = scale * lv.qk ** (-2.0 * s)
-        if depth_tail < TAIL_TOL * max(1.0, abs(total)):
+        total += level_sum + boundary[k]
+        depth_tail = scale * weights[k]
+        if stop * weights[k] < TAIL_TOL * max(1.0, abs(total)):
             break
     else:
         _require_settled(data)
@@ -226,14 +317,14 @@ def gkw_matrix(alpha: ContinuedFraction, s: float, n: int) -> np.ndarray:
     image's weight split linearly between its two neighbouring nodes.
     A family's first _HEAD members are split one by one; the rest, to its
     end or to infinity, are grouped by the cell their images fall in.  The
-    walk stops once q_K^(-2s) _depth_weight(s, 0), which bounds what every
-    row drops as hats are <= 1, is below TAIL_TOL."""
+    walk stops once q_K^(-2s) times the _depth_weight at y = 0, which bounds
+    what every row drops as hats are <= 1, is below TAIL_TOL."""
     if n < 16:
         raise DomainError("grid size must be >= 16")
     if not 0.5 < s < math.inf:
         raise DomainError("branch series needs a finite s > 1/2")
     data = _levels(alpha)
-    deeper = _depth_weight(s, 0.0)
+    deeper = _depth_weight(s, hurwitz_sum(2.0 * s, 1.0))
     ys = np.linspace(0.0, 1.0, n + 1)[:, None]
     offsets = np.arange(n + 1)[:, None] * (n + 1)  # flat index of each row
     flat, mass = [], []

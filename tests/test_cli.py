@@ -233,6 +233,18 @@ class TestVerifyCommand:
         report = json.loads(capsys.readouterr().out)
         assert code == (0 if report["passed"] else 1)
 
+    def test_density_rows_reach_second_order_accuracy(self, capsys, tmp_path):
+        # the classical and parameter-one densities are exact fixed points:
+        # their rows measure only the family tails and rounding
+        out = tmp_path / "densities.json"
+        code = cli.main(["verify", "--suite", "densities", "--tol", "0",
+                         "--out", str(out)])
+        report = json.loads(out.read_text())
+        rows = {c["name"]: c for c in report["suites"]["densities"]}
+        assert code == 0
+        assert rows["density-classical"]["measure"] < 1e-13
+        assert rows["density-parameter-one"]["measure"] < 1e-13
+
     def test_whole_report_passes_at_zero_tolerance(self, capsys):
         # every float row carries its own tails and rounding allowance and
         # every other row is exact, so no row leans on the fixed tolerance

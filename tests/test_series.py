@@ -67,6 +67,21 @@ class TestShape:
             assert batch.value.tolist() == [v.value for v in one]
             assert batch.tail.tolist() == [v.tail for v in one]
 
+    def test_vector_exponent_matches_scalar_calls_bitwise(self):
+        # p broadcasts like a, b and start; p = 1 and 2 are where numpy's
+        # scalar power takes the reciprocal
+        rng = np.random.default_rng(7)
+        b = rng.uniform(0.01, 5.0, (16, 1))
+        start = np.append(rng.integers(0, 300, 15).astype(float), np.inf)[:, None]
+        p = np.array([1.0, 1.2, 2.0, 2.5, 3.0, 4.0])
+        batch = power_tail(3.0, b, p, start)
+        assert batch.value.shape == (16, 6)
+        for i in range(16):
+            for j, pj in enumerate(p):
+                one = power_tail(3.0, float(b[i, 0]), float(pj), float(start[i, 0]))
+                assert batch.value[i, j] == one.value
+                assert batch.tail[i, j] == one.tail
+
     def test_infinite_start_is_zero(self):
         got = power_tail(2.0, np.array([[0.5], [3.0]]), 2.5,
                          np.array([[1.0, np.inf], [np.inf, 4.0]]))

@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -254,21 +255,102 @@ class TestApply:
         for got in (golden, zero):
             assert math.isfinite(got.value) and got.tail == math.inf
 
-    def test_blocked_sum_matches_one_pass(self):
+    def test_explicit_members_and_family_tail_add_up(self):
         # parameter 0 is one infinite family, member i the image 1/(y+i)
-        # with weight (y+i)^-2: the block-by-block sum must agree with a
-        # single numpy pass over the same members and the same tail terms
+        # with weight (y+i)^-2: the batched sum must agree with one numpy
+        # pass over the first INNER_MAX members plus the family tail terms
         psi = tr.closed_form_density("gauss")
         lv, = tr._levels(ZERO).levels
-        z = 0.5 + np.arange(1, tr.INNER_MAX + 1, dtype=float)
+        m = tr.INNER_MAX
+        z = 0.5 + np.arange(1, m + 1, dtype=float)
         terms = z ** -2.0 * psi(1.0 / z)
-        correction, bound = tr._family_tail_terms(psi, lv, 0.5, tr.INNER_MAX, 1.0)
+        probes = (psi(0.0), psi(1.0 / (0.5 + m + 1)),
+                  psi(1.0 / z[2 * m // 3 - 1]), psi(1.0 / z[m // 2 - 1]))
+        sums = power_tail(1.0, 0.5, 2.0 + np.arange(3.0),
+                          np.array([[m + 1.0], [math.inf]]))
+        correction, bound = tr._family_tail_terms(lv, 0.5, m, probes, sums)
         want = float(np.sum(terms)) + correction
         got = tr.apply_transfer(ZERO, 1.0, psi, 0.5)
         eps = np.finfo(float).eps
         assert got.tail == bound
         assert abs(got.value - want) <= 8 * eps * (float(np.sum(np.abs(terms)))
                                                    + abs(correction))
+
+    @pytest.mark.parametrize("s", [0.75, 1.0, 1.5])
+    def test_quadratic_psi_leaves_only_rounding(self, s):
+        # psi quadratic in the offset from each family limit sits on both
+        # quadratics of the bracket, so the tail term is exact and the sums
+        # are Hurwitz sums: at 0, (y+i)^-2s psi(1/(y+i)); at 1, the boundary
+        # branch y/(1+y) and the members 1 - 1/(y+1+i)
+        a, b, c = 0.7, -1.3, 2.1
+        psi = lambda u: a + u * (b + u * c)
+        eps = np.finfo(float).eps
+        for y in (0.3, 0.9):
+            zeta = [hurwitz_sum(2.0 * s + k, 1.0 + y) for k in range(3)]
+            zero = a * zeta[0].value + b * zeta[1].value + c * zeta[2].value
+            zeta = [hurwitz_sum(2.0 * s + k, 2.0 + y) for k in range(3)]
+            one = ((1.0 + y) ** (-2.0 * s) * psi(y / (1.0 + y))
+                   + (a + b + c) * zeta[0].value - (b + 2.0 * c) * zeta[1].value
+                   + c * zeta[2].value)
+            for alpha, want in ((ZERO, zero), (ONE, one)):
+                got = tr.apply_transfer(alpha, s, psi, y)
+                assert got.tail < 1e-15 * abs(want)
+                assert abs(got.value - want) <= got.tail + 16 * eps * abs(want)
+
+    @pytest.mark.parametrize("alpha", [ZERO, ONE, tr.HALF_MINUS,
+                                       ContinuedFraction((5000,))],
+                             ids=["0", "1", "1/2", "[0;5000]"])
+    def test_family_tails_cover_brute_force_sums(self, alpha):
+        # against every family summed over 4e6 explicit members plus a
+        # first-order remainder, whose error is below 1e-16 here; psi''' keeps
+        # one sign on [0, 1] for each psi, as the bracket assumes.  The
+        # [0;5000] family at depth 1 is finite and longer than INNER_MAX
+        psis = ((lambda u: 1.0 / (1.0 + u), lambda u: -1.0 / (1.0 + u) ** 2),
+                (lambda u: (1.0 + u) ** -3, lambda u: -3.0 * (1.0 + u) ** -4),
+                (np.exp, np.exp))
+        eps = np.finfo(float).eps
+        for s in (0.75, 1.0):
+            for y in (0.3, 0.9):
+                wants = brute_branch_sums(alpha, s, psis, y)
+                for (psi, _), want in zip(psis, wants):
+                    got = tr.apply_transfer(alpha, s, psi, y)
+                    gap = abs(got.value - want)
+                    assert gap <= got.tail + 4 * eps * abs(want), (s, y, gap)
+
+    @pytest.mark.parametrize("alpha", [ZERO, ONE, tr.HALF_MINUS, GOLDEN, PELL,
+                                       ContinuedFraction((5000,)),
+                                       ContinuedFraction((), (1, 2))],
+                             ids=["0", "1", "1/2", "(1)", "(2)", "[0;5000]",
+                                  "(1,2)"])
+    def test_psi_called_at_most_twice(self, alpha):
+        # once on the ends of the depth-1 cylinder, once on every image
+        calls = []
+        density = tr.closed_form_density("gauss")
+
+        def psi(u):
+            calls.append(np.shape(u))
+            return density(u)
+
+        tr.apply_transfer(alpha, 1.0, psi, 0.4)
+        assert len(calls) <= 2
+
+    def test_infinite_scale_stops_on_the_psi_free_weight(self):
+        # psi blows up at 1/1000, an end of the depth-1 cylinder of (1000),
+        # so the depth tail is infinite; the walk must still stop, before
+        # the convergent denominators pass the float range
+        got = tr.apply_transfer(ContinuedFraction((), (1000,)), 1.0,
+                                lambda u: 1 / (u - 1 / 1000), 0.5)
+        assert math.isfinite(got.value) and got.tail == math.inf
+
+    def test_no_warnings_leak(self):
+        # psi runs on images past the level where the walk stops, and on
+        # points where it is infinite: numpy must not warn about either
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for suite in verify.SUITES.values():
+                suite()
+            tr.apply_transfer(ContinuedFraction((), (1000,)), 1.0,
+                              lambda u: 1 / (u - 1 / 1000), 0.5)
 
     def test_peak_memory_bounded(self):
         # the members are taken in blocks, so no temporary spans a family
@@ -281,6 +363,36 @@ class TestApply:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2 ** 20
+
+
+def brute_branch_sums(alpha, s, psis, y, members=4_000_000, chunk=1 << 18):
+    """The branch sum of each (psi, dpsi) pair at the rational parameter
+    alpha, walked to its last level: every family's first `members`
+    members one by one, and the rest of an infinite family as
+    psi(L) S_0 + dpsi(L) (-det/q) S_1, L = p/q and S_k the power sums of
+    exponent 2s + k from member `members` + 1 (power_tail)."""
+    parts = [[] for _ in psis]
+    for lv in tr._levels(alpha).levels:
+        count = min(lv.digit - 1, members)
+        for lo in range(1, count + 1, chunk):
+            z = y + np.arange(lo, min(lo + chunk, count + 1), dtype=float)
+            den = lv.q * z + lv.qq
+            weights, images = den ** (-2.0 * s), (lv.p * z + lv.pp) / den
+            for part, (psi, _) in zip(parts, psis):
+                part.append(float(np.sum(weights * psi(images))))
+        if lv.digit == math.inf:
+            rest = power_tail(lv.q, lv.q * y + lv.qq, 2.0 * s + np.arange(2.0),
+                              members + 1)
+            step = -(lv.p * lv.qq - lv.pp * lv.q) / lv.q
+            for part, (psi, dpsi) in zip(parts, psis):
+                part.append(float(psi(lv.p / lv.q) * rest.value[0]
+                                  + dpsi(lv.p / lv.q) * step * rest.value[1]))
+        else:
+            den = lv.qk * y + lv.q
+            for part, (psi, _) in zip(parts, psis):
+                part.append(den ** (-2.0 * s)
+                            * float(psi((lv.pk * y + lv.p) / den)))
+    return [math.fsum(part) for part in parts]
 
 
 def brute_matrix_rows(alpha, s, n, rows, members=4_000_000, chunk=1 << 18):
