@@ -49,10 +49,10 @@ _EVEN = 2.0 * np.arange(7)
 
 
 def _power(u, e):
-    """u ** e, rounded for an array of exponents as numpy rounds a scalar
+    """u ** e for an array of exponents, rounded as numpy rounds a scalar
     exponent: at -1 that is the reciprocal, which rounds differently from
     numpy's general power."""
-    if isinstance(e, np.ndarray) and (e == -1.0).any():
+    if -1.0 in e.flat:  # for a few exponents, cheaper than a numpy reduction
         return np.where(e == -1.0, 1.0 / u, u ** e)
     return u ** e
 
@@ -68,26 +68,18 @@ def power_tail(a, b, p, start) -> SeriesValue:
     diverges; the integral term -log(u)/a then makes the value at start 0
     -(digamma(b/a) + log a)/a, and differences at one a converge."""
     u0 = a * start + b
-    vector = getattr(p, "ndim", 0) > 0
-    scalar = not vector and getattr(u0, "ndim", 0) == 0
+    scalar = getattr(p, "ndim", 0) == 0 and getattr(u0, "ndim", 0) == 0
     # numpy's array and scalar powers round differently, so scalars are
     # summed as one-element arrays: a point's sum never depends on its batch
-    a, u0 = (np.array(v, dtype=float, ndmin=1)[..., None] for v in (a, u0))
-    if vector:
-        p = np.asarray(p, dtype=float)[..., None]
-        lo, hi = p.min(), p.max()
-    else:
-        p = lo = hi = float(p)
-    if not (1 <= lo and hi < math.inf and a.min() > 0 and u0.min() > 0):
+    a, u0, p = (np.array(v, dtype=float, ndmin=1)[..., None] for v in (a, u0, p))
+    lo = p.min()
+    if not (1 <= lo and p.max() < math.inf and a.min() > 0 and u0.min() > 0):
         raise DomainError("need a > 0, summands > 0 and a finite p >= 1")
     u = u0 + a * _EXPLICIT.size
-    if vector:
-        one = p == 1  # where the integral is -log(u)/a, not this quotient
-        integral = _power(u, 1.0 - p) / (a * (p - 1.0 + one))
-        if one.any():
-            integral = np.where(one, -np.log(u) / a, integral)
-    else:
-        integral = -np.log(u) / a if p == 1 else u ** (1.0 - p) / (a * (p - 1.0))
+    one = p == 1  # where the integral is -log(u)/a, not this quotient
+    integral = _power(u, 1.0 - p) / (a * (p - 1.0 + one))
+    if lo == 1:
+        integral = np.where(one, -np.log(u) / a, integral)
     # the k-th correction: B_{2k}/(2k)! (p)_{2k-1} a^(2k-1) u^(1-p-2k)
     coeffs = _BERNOULLI * np.cumprod(p + np.arange(13.0), axis=-1)[..., ::2]
     corr = coeffs * (a * u ** (-p - 1.0)) * (a / u) ** _EVEN

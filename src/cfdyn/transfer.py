@@ -11,6 +11,7 @@ the functional equations those densities satisfy.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,14 +37,16 @@ LOG2 = math.log(2.0)
 HALF_MINUS = ContinuedFraction((2,))
 HALF_PLUS = ContinuedFraction((1, 1))
 
-# summation budgets: comparison depths walked, members per family summed
-# one by one in pointwise sums (gkw_matrix sums every member; the rest of
-# a family is bracketed by quadratics, certified for psi''' of one sign),
-# and the stop of every depth walk: the bound q_K^(-2s) (1 + zeta(2s, 1+y))
-# Phi(2s) on all branches past level K, times sup|psi| for psi monotone,
-# below TAIL_TOL
+# summation budgets: comparison depths walked; members summed one by one
+# in pointwise sums, INNER_MAX of an infinite family and a finite one in
+# full up to FINITE_MAX + 1 members, else its first FINITE_MAX (gkw_matrix
+# sums every member; the rest of a family is bracketed by quadratics,
+# certified for psi''' of one sign); and the stop of every depth walk: the
+# bound q_K^(-2s) (1 + zeta(2s, 1+y)) Phi(2s) on all branches past level K,
+# times sup|psi| for psi monotone, below TAIL_TOL
 DEPTH_MAX = 200
 INNER_MAX = 2048
+FINITE_MAX = 200_000
 TAIL_TOL = 1e-14
 
 
@@ -74,10 +77,19 @@ class _Level:
         return MobiusMap(self.pk, self.p, self.qk, self.q)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _LevelData:
     levels: tuple
     exhausted: bool   # truncated parameter ran out of digits
+    table: np.ndarray  # p, pp, q, qq, pk, qk of each level as floats
+
+
+def _float(n) -> float:
+    """n as a float: infinite past the float range, nan for None."""
+    try:
+        return math.nan if n is None else float(n)
+    except OverflowError:
+        return math.inf
 
 
 @functools.lru_cache(maxsize=256)
@@ -92,7 +104,9 @@ def _levels(alpha: ContinuedFraction) -> _LevelData:
     complete = ended and alpha.is_rational
     if complete:
         levels.append(_Level(len(rows) + 1, INF, *before[-1], None, None))
-    return _LevelData(tuple(levels), ended and not complete)
+    table = np.array([[_float(n) for n in (lv.p, lv.pp, lv.q, lv.qq, lv.pk, lv.qk)]
+                      for lv in levels]).reshape(-1, 6)
+    return _LevelData(tuple(levels), ended and not complete, table)
 
 
 def _walk(levels, inner_max: int) -> Iterator[tuple]:
@@ -195,26 +209,35 @@ def _reach(levels, s: float, cap: float) -> tuple:
     return reached, weights
 
 
-def _images(levels, counts: list, offsets, y: float) -> tuple:
+def _explicit(count) -> int:
+    """Members summed one by one of a family of ``count``: INNER_MAX of an
+    infinite family, a finite one in full up to FINITE_MAX + 1 members and
+    else its first FINITE_MAX, so a finite family is lumped only when it
+    drops two members or more and its dropped segment has two ends."""
+    if count == INF:
+        return INNER_MAX
+    return count if count <= FINITE_MAX + 1 else FINITE_MAX
+
+
+def _images(levels, table, counts: list, offsets: list, y: float) -> tuple:
     """(images, den, den0, families) for one call of psi: the images of
     each level's first ``counts`` members, whose denominators are den, of
     the boundary branches of the finite levels (den0), then per family
-    summed past INNER_MAX its far end and member m+1; a float past an
-    infinite family's end is its limit p/q.  families holds (level, m,
-    offset of its first member)."""
-    rows = np.repeat(np.array([(lv.p, lv.pp, lv.q, lv.qq) for lv in levels],
-                              dtype=float), counts, axis=0)
+    not summed in full its far end and member m+1; a float past an
+    infinite family's end is its limit p/q.  table holds the levels'
+    convergents as floats; families holds (level, m, offset of its first
+    member)."""
+    p, pp, q, qq = table[:len(levels), :4].T
     z = y + (np.arange(offsets[-1]) - np.repeat(offsets[:-1], counts) + 1.0)
-    den = rows[:, 2] * z + rows[:, 3]
-    ends = np.array([(lv.pk, lv.p, lv.qk, lv.q) for lv in levels
-                     if lv.digit != INF], dtype=float).reshape(-1, 4)
-    den0 = ends[:, 2] * y + ends[:, 3]
+    den = np.repeat(q, counts) * z + np.repeat(qq, counts)
+    ends = table[:len(levels) - (levels[-1].digit == INF)]
+    den0 = ends[:, 5] * y + ends[:, 2]
     families = [(lv, m, at) for lv, m, at in zip(levels, counts, offsets)
                 if lv.digit - 1 > m]
     probes = [(lv.p * t + lv.pp) / (lv.q * t + lv.qq) if t < INF else lv.p / lv.q
               for lv, m, _ in families for t in (y + lv.digit - 1, y + m + 1)]
-    images = np.concatenate(((rows[:, 0] * z + rows[:, 1]) / den,
-                             (ends[:, 0] * y + ends[:, 1]) / den0, probes))
+    images = np.concatenate(((np.repeat(p, counts) * z + np.repeat(pp, counts)) / den,
+                             (ends[:, 4] * y + ends[:, 0]) / den0, probes))
     return images, den, den0, families
 
 
@@ -247,16 +270,18 @@ def apply_transfer(alpha: ContinuedFraction, s: float, psi: Callable,
     Both calls run with numpy's floating-point warnings off, as the array
     can reach past the level where the walk stops.
 
-    Each family's first INNER_MAX members are summed one by one;
-    _family_tail_terms takes the rest.  The walk stops after the first
-    level K at which the depth tail, q_K^(-2s) (1 + zeta(2s, 1+y)) Phi(2s)
-    times the larger |psi| at the ends of the depth-1 cylinder (which holds
-    every deeper image), is below TAIL_TOL * max(1, |sum|).  An infinite
-    |psi| there leaves the tail infinite, and the walk stops on the
-    psi-free weight instead.  Either stop holds by the first level whose
-    weight, with zeta(2s, 1+y) capped by _zeta_cap, is below TAIL_TOL: that
-    level ends the array.  A truncated parameter whose settled levels run
-    out first raises TruncationExhausted.
+    An infinite family's first INNER_MAX members are summed one by one,
+    and all of a finite family, or its first FINITE_MAX when it has more
+    than FINITE_MAX + 1 (_explicit); _family_tail_terms takes the rest.
+    The walk stops after the first level K at which the depth tail,
+    q_K^(-2s) (1 + zeta(2s, 1+y)) Phi(2s) times the larger |psi| at the
+    ends of the depth-1 cylinder (which holds every deeper image), is below
+    TAIL_TOL * max(1, |sum|).  An infinite |psi| there leaves the tail
+    infinite, and the walk stops on the psi-free weight instead.  Either
+    stop holds by the first level whose weight, with zeta(2s, 1+y) capped
+    by _zeta_cap, is below TAIL_TOL: that level ends the array.  A
+    truncated parameter whose settled levels run out first raises
+    TruncationExhausted.
 
     y is normally in (0,1) but any positive y is accepted: every branch
     image stays inside (0,1), which is what lets grid eigenfunctions be
@@ -273,9 +298,9 @@ def apply_transfer(alpha: ContinuedFraction, s: float, psi: Callable,
     # an infinite scale leaves the depth tail infinite: reach by the weight
     scale_cap = cap * sup if cap * sup < math.inf else cap
     levels, weights = _reach(data.levels, s, scale_cap)
-    counts = [min(lv.digit - 1, INNER_MAX) for lv in levels]
-    offsets = np.cumsum([0] + counts)
-    images, den, den0, families = _images(levels, counts, offsets, y)
+    counts = [_explicit(lv.digit - 1) for lv in levels]
+    offsets = list(itertools.accumulate(counts, initial=0))
+    images, den, den0, families = _images(levels, data.table, counts, offsets, y)
     with np.errstate(all="ignore"):
         values = np.broadcast_to(np.asarray(psi(images), dtype=float), images.shape)
     members, bounds, probes = np.split(values,
@@ -287,9 +312,11 @@ def apply_transfer(alpha: ContinuedFraction, s: float, psi: Callable,
     stop = scale if scale < math.inf else _depth_weight(s, zeta)
 
     total = tail = depth_tail = 0.0
-    for k, (lv, m, lumped) in enumerate(_walk(levels, INNER_MAX)):
+    # the walk gives the level order; the member counts are _explicit's
+    for k, (lv, _, _) in enumerate(_walk(levels, INNER_MAX)):
+        m = counts[k]
         level_sum = float(np.sum(terms[offsets[k]:offsets[k + 1]])) if m else 0.0
-        if lumped:
+        if m < lv.digit - 1:
             correction, bound = next(family_terms)
             level_sum += correction
             tail += bound

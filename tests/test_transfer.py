@@ -352,8 +352,45 @@ class TestApply:
             tr.apply_transfer(ContinuedFraction((), (1000,)), 1.0,
                               lambda u: 1 / (u - 1 / 1000), 0.5)
 
+    @pytest.mark.parametrize("digit", [2049, 2050, 2051, tr.FINITE_MAX + 2,
+                                       tr.FINITE_MAX + 3])
+    def test_finite_family_past_inner_max(self, digit):
+        # a finite family is summed member by member up to FINITE_MAX + 1
+        # members; a longer one drops two or more, so its bracket's ends
+        # differ.  psi = 1/u is steep next to the family's far end, where a
+        # quadratic bracket is wide; the last level's family is infinite
+        alpha = ContinuedFraction((digit,))
+        psi, dpsi = (lambda u: 1.0 / u), (lambda u: -1.0 / u ** 2)
+        in_full = digit - 1 <= tr.FINITE_MAX + 1
+        eps = np.finfo(float).eps
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for s in (0.75, 1.0):
+                for y in (0.3, 0.9):
+                    want, = brute_branch_sums(alpha, s, [(psi, dpsi)], y)
+                    got = tr.apply_transfer(alpha, s, psi, y)
+                    gap = abs(got.value - want)
+                    assert gap <= got.tail + 8 * eps * abs(want), (s, y, gap)
+                    assert got.tail < (1e-12 if in_full else 1e-9) * abs(want)
+
+    def test_periodic_digit_past_inner_max(self):
+        # every level of (2050) holds a finite family one member longer
+        # than INNER_MAX; the levels past depth 6 add less than 1e-25
+        psi = lambda u: 1.0 / u
+        eps = np.finfo(float).eps
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for s in (0.75, 1.0):
+                for y in (0.3, 0.9):
+                    want = math.fsum(periodic_level_sums((2050,), s, psi, y, 6))
+                    got = tr.apply_transfer(ContinuedFraction((), (2050,)), s,
+                                            psi, y)
+                    assert abs(got.value - want) <= got.tail + 8 * eps * want
+                    assert got.tail < 1e-12 * want
+
     def test_peak_memory_bounded(self):
-        # the members are taken in blocks, so no temporary spans a family
+        # psi runs on one array of at most INNER_MAX members per reached
+        # level of an infinite family, plus the boundary branches and probes
         psi = tr.closed_form_density("gauss")
         tr.apply_transfer(ZERO, 1.0, psi, 0.5)  # fill the level cache
         tracemalloc.start()
