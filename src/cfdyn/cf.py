@@ -279,27 +279,65 @@ ZERO = ContinuedFraction()
 ONE = ContinuedFraction((1,))
 
 
+def _euclid_quotients(u: int, v: int) -> list[int]:
+    """The quotients of Euclid's algorithm on u >= v >= 0.
+
+    Lehmer's method (Knuth, TAOCP vol. 2, section 4.5.2, Algorithm L):
+    while v is wider than 62 bits, the quotients are found from the
+    leading 62 bits of u and v alone, each accepted only while both ends
+    of its error bracket, (u' + A)//(v' + C) and (u' + B)//(v' + D), agree;
+    the cofactors (A, B; C, D) then move the full integers once for the
+    whole batch.  If no quotient is certain (B == 0), one full divmod is
+    taken.  Plain Euclid finishes below 2**62.  62 bits is the measured
+    sweet spot: 126-, 254- and 510-bit windows were no faster."""
+    out = []
+    while v.bit_length() > 62:
+        shift = u.bit_length() - 62
+        uh, vh = u >> shift, v >> shift
+        a, b, c, d = 1, 0, 0, 1
+        while vh + c and vh + d:
+            qt = (uh + a) // (vh + c)
+            if qt != (uh + b) // (vh + d):
+                break
+            out.append(qt)
+            a, b, c, d = c, d, a - qt * c, b - qt * d
+            uh, vh = vh, uh - qt * vh
+        if b:
+            u, v = a * u + b * v, c * u + d * v
+        else:
+            qt, r = divmod(u, v)
+            out.append(qt)
+            u, v = v, r
+    while v:
+        qt, r = divmod(u, v)
+        out.append(qt)
+        u, v = v, r
+    return out
+
+
 def cf_from_rational(value, den=None, variant: str = "minus") -> ContinuedFraction:
     """Digit expansion of a rational in [0, 1].
 
     variant "minus": last digit >= 2 where the number allows it.
     variant "plus":  last digit 1 (the other expansion of the same number).
+
+    The digits of p/q are the quotients of Euclid's algorithm on (q, p),
+    found by Lehmer's leading-digit method (see _euclid_quotients), so a
+    start of n bits costs about n**2/62 bit operations in a few thousand
+    big-integer steps rather than one per digit.
     """
     fr = Fraction(value, den) if den is not None else Fraction(value)
     if not 0 <= fr <= 1:
         raise DomainError(f"value {fr} outside [0, 1]")
     if variant not in ("minus", "plus"):
         raise DomainError(f"unknown variant {variant!r}")
-    p, q = fr.numerator, fr.denominator
-    digits = []
-    while p:
-        d, r = divmod(q, p)
-        digits.append(d)
-        p, q = r, p
+    digits = _euclid_quotients(fr.denominator, fr.numerator)
     if variant == "plus" and digits and digits[-1] >= 2:
         digits[-1] -= 1
         digits.append(1)
-    return ContinuedFraction(tuple(digits))
+    # Euclid's quotients are integers >= 1 and a rational has no period to
+    # canonicalise
+    return _bare(tuple(digits))
 
 
 def cf_to_rational(x: ContinuedFraction) -> Fraction:
@@ -329,12 +367,16 @@ def _convergent_rows(digit_iter, depth: int):
     return rows
 
 
-def _last_convergent(digit_iter, depth: int) -> tuple[int, int, int, int]:
-    """(count, p, q, q_prev) for the last of the first `depth` convergents,
-    with the stopping rule of _convergent_rows; (0, 0, 1, 0) when the
-    stream yields no digit."""
-    pm1, qm1 = 1, 0
-    p, q = 0, 1
+def _last_convergent(digit_iter, depth: int,
+                     row: tuple[int, int, int, int] = (0, 1, 1, 0)
+                     ) -> tuple[int, int, int, int, int]:
+    """(count, p, p_prev, q, q_prev) after feeding at most `depth` digits
+    of the stream into the convergent row (p, p_prev, q, q_prev), with the
+    stopping rule of _convergent_rows; count is the number of digits fed.
+    The default row is the empty prefix, so the result is the last of the
+    first `depth` convergents, and (0, 0, 1, 1, 0) when the stream yields
+    no digit."""
+    p, pm1, q, qm1 = row
     count = 0
     for a in islice(digit_iter, depth):
         if not isinstance(a, int):  # INF tail of a rational
@@ -342,7 +384,7 @@ def _last_convergent(digit_iter, depth: int) -> tuple[int, int, int, int]:
         p, pm1 = a * p + pm1, p
         q, qm1 = a * q + qm1, q
         count += 1
-    return count, p, q, qm1
+    return count, p, pm1, q, qm1
 
 
 def convergents(x: ContinuedFraction, depth: int = 40) -> list[MobiusMap]:
@@ -362,7 +404,7 @@ def cf_value(x: ContinuedFraction, depth: int = 40) -> tuple[float, float]:
     absolute error bound."""
     if depth < 1:
         raise DomainError("depth must be >= 1")
-    count, p, q, qm1 = _last_convergent(x.digits(), depth)
+    count, p, _, q, qm1 = _last_convergent(x.digits(), depth)
     if x.is_rational and count == len(x.head):
         return p / q, 0.0
     # the tail keeps the number inside the cylinder of the consumed digits
@@ -556,26 +598,30 @@ def minkowski_q(x: ContinuedFraction) -> Fraction:
     ?(x) = 2 * sum_j (-1)**(j+1) * 2**-(a_1 + ... + a_j), summed in
     closed form over the cycle for periodic x.  The value is independent
     of which expansion variant of a rational is supplied.
+
+    The partial sums are kept as integer numerators over 2**(a_1 + ... +
+    a_j), one shift and add per digit, and one Fraction is built at the
+    end.  With N_h / 2**E the head's sum and N / 2**(E + S) the sum
+    through one cycle of length L and digit sum S, the geometric series
+    over the cycles gives (N - (-1)**L * N_h) / (2**E * (2**S - (-1)**L)).
     """
     if x.is_truncated:
         raise TruncationExhausted("question-mark needs the full expansion")
-    total = Fraction(0)
-    expo = 0
+    num = 0
     sign = 1
     for a in x.head:
-        expo += a
-        total += Fraction(sign, 1 << expo)
+        num = (num << a) + sign
         sign = -sign
-    if x.period:
-        first = Fraction(0)
-        e, s = expo, sign
-        for b in x.period:
-            e += b
-            first += Fraction(s, 1 << e)
-            s = -s
-        ratio = Fraction((-1) ** len(x.period), 1 << sum(x.period))
-        total += first / (1 - ratio)
-    return 2 * total
+    expo = sum(x.head)
+    if not x.period:
+        return Fraction(2 * num, 1 << expo)
+    head_num = num
+    for b in x.period:
+        num = (num << b) + sign
+        sign = -sign
+    turn = -1 if len(x.period) % 2 else 1  # (-1)**L
+    return Fraction(2 * (num - turn * head_num),
+                    (1 << expo) * ((1 << sum(x.period)) - turn))
 
 
 # ---------------------------------------------------------------------------

@@ -82,7 +82,7 @@ def lyapunov_qn(x: ContinuedFraction, n: int) -> float:
     This growth rate estimates the exponent of the classical map only."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    count, _, q_n, _ = _last_convergent(x.digits(), n)
+    count, _, _, q_n, _ = _last_convergent(x.digits(), n)
     if count < n:
         raise TruncationExhausted(f"point has fewer than {n} digits")
     return 2.0 * math.log(q_n) / n

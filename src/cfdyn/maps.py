@@ -44,6 +44,8 @@ from cfdyn.errors import (
 GAUSS_ALPHA = ZERO
 FIBONACCI_ALPHA = ContinuedFraction((), (1,))
 
+_WINDOW = 40  # digits behind an orbit point's float, cf_value's default depth
+
 
 @dataclass(frozen=True)
 class StepDecision:
@@ -133,15 +135,31 @@ class _Cursor:
     `rev` is the remaining head, last digit first, so a step drops or
     rewrites only the leading digits it consumes and never copies the
     expansion; `phase` is where the period stream resumes once the head
-    is used up."""
+    is used up.
 
-    __slots__ = ("rev", "period", "phase", "exact")
+    The cursor also keeps a sliding convergent window: the product
+    G = prod [[a_i, 1], [1, 0]] of its first w = min(40, available)
+    digits, stored as (p, p_prev, q, q_prev) with G = [[q, q_prev],
+    [p, p_prev]] -- the integers _last_convergent gives for those digits,
+    so p/q is cf_value's float.  Each edit updates G in a few exact steps
+    instead of rebuilding it: a dropped digit a left-multiplies G by
+    [[a, 1], [1, 0]]^-1 = [[0, 1], [1, -a]] and each digit entering the
+    window at the far end right-multiplies it by [[b, 1], [1, 0]]; a new
+    first digit is one shear of row 0 by row 1.  A drop deeper than the
+    window rebuilds it."""
+
+    __slots__ = ("rev", "period", "phase", "exact", "w", "p", "pm1", "q", "qm1")
 
     def __init__(self, x: ContinuedFraction) -> None:
         self.rev = list(reversed(x.head))
         self.period = x.period
         self.phase = 0
         self.exact = x.exact
+        self._rebuild()
+
+    def _rebuild(self) -> None:
+        self.w, self.p, self.pm1, self.q, self.qm1 = _last_convergent(
+            self.digits(), _WINDOW)
 
     def digits(self) -> Iterator:
         """The digit stream, as ContinuedFraction.digits() gives it."""
@@ -150,25 +168,48 @@ class _Cursor:
             return chain(head, islice(cycle(self.period), self.phase, None))
         return chain(head, repeat(INF)) if self.exact else head
 
+    def _ahead(self, start: int, stop: int) -> list:
+        """The stream's digits at positions start..stop-1."""
+        h = len(self.rev)
+        if stop <= h:
+            return self.rev[h - stop:h - start][::-1]
+        return list(islice(self.digits(), start, stop))
+
     def drop(self, j: int) -> None:
+        w = self.w
+        if j <= w:  # the dropped digits, and the ones that refill the window
+            gone, new = self._ahead(0, j), self._ahead(w, w + j)
         extra = j - len(self.rev)
         if extra > 0:  # only a periodic stream has digits past the head
             self.rev.clear()
             self.phase = (self.phase + extra) % len(self.period)
         elif j:
             del self.rev[-j:]
+        if j > w:
+            self._rebuild()
+            return
+        p, pm1, q, qm1 = self.p, self.pm1, self.q, self.qm1
+        for a in gone:
+            q, qm1, p, pm1 = p, pm1, q - a * p, qm1 - a * pm1
+        count, self.p, self.pm1, self.q, self.qm1 = _last_convergent(
+            new, j, (p, pm1, q, qm1))
+        self.w = w - j + count
 
     def set_first(self, digit: int) -> None:
         if self.rev:
+            old = self.rev[-1]
             self.rev[-1] = digit
         else:  # the first digit comes from the period and joins the head
+            old = self.period[self.phase]
             self.rev.append(digit)
             self.phase = (self.phase + 1) % len(self.period)
+        self.q += (digit - old) * self.p
+        self.qm1 += (digit - old) * self.pm1
 
-    def value(self) -> float:
-        """cf_value(self.state())[0], without building the state."""
-        _, p, q, _ = _last_convergent(self.digits(), 40)
-        return p / q
+    def value(self, lift: int = 0) -> float:
+        """cf_value(self.state(lift))[0], from the window: raising the
+        first digit by lift shears q to q + lift*p."""
+        return self.p / (self.q + lift * self.p)
 
     def is_zero(self) -> bool:
         return self.exact and not self.rev and not self.period
@@ -266,9 +307,9 @@ def orbit(alpha: ContinuedFraction, x: ContinuedFraction, n: int) -> OrbitRecord
             # differ from the last one in the first digit, by multiples
             # of the parameter's first digit a
             for j in range(m - 1, -1, -1):
-                state = cur.state(j * a) if j else cur.state()
-                states.append(state)
-                shadow.append(cf_value(state)[0])
+                lift = j * a if j else 0
+                states.append(cur.state(lift))
+                shadow.append(cur.value(lift))
             total += dlog
             dsteps += m
             if cur.is_zero():

@@ -117,6 +117,75 @@ class TestFromRational:
         assert minkowski_q(a) == minkowski_q(b)
 
 
+def plain_euclid(p: int, q: int) -> list:
+    """Schoolbook Euclid: the quotients of q / p, one divmod each."""
+    out = []
+    while p:
+        d, r = divmod(q, p)
+        out.append(d)
+        p, q = r, p
+    return out
+
+
+def fib_pair(n: int) -> tuple:
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a, b  # F_n, F_{n+1}
+
+
+class TestLehmerExpansion:
+    """cf_from_rational runs Lehmer's leading-digit Euclid above 2**62;
+    its digits must be schoolbook Euclid's, and its object the validating
+    constructor's."""
+
+    @staticmethod
+    def check(p, q):
+        want = plain_euclid(p, q)
+        for variant in ("minus", "plus"):
+            got = cf_from_rational(Fraction(p, q), variant=variant)
+            digits = list(want)
+            if variant == "plus" and digits and digits[-1] >= 2:
+                digits[-1:] = [digits[-1] - 1, 1]
+            assert list(got.head) == digits
+            assert got == CF(tuple(digits))
+            assert all(type(a) is int for a in got.head)
+
+    @pytest.mark.parametrize("b", [1, 61, 62, 63, 64, 65, 124, 8000, 16000])
+    def test_dyadic_around_the_window(self, b):
+        import random
+        rng = random.Random(b)
+        nums = {1, (1 << b) - 1, (1 << (b - 1)) + 1 if b > 1 else 1}
+        nums.update(rng.getrandbits(b) | 1 for _ in range(4))
+        for p in sorted(nums):
+            self.check(p, 1 << b)
+
+    @given(st.integers(1, 10 ** 40).flatmap(
+        lambda q: st.tuples(st.integers(0, q), st.just(q))))
+    def test_random_rationals(self, pq):
+        p, q = pq
+        g = math.gcd(p, q)
+        self.check(p // g, q // g)
+
+    def test_fibonacci_ratios(self):
+        # consecutive Fibonacci numbers have all quotients 1: the most
+        # Euclid steps per bit, and the tightest quotient brackets
+        a, b = 0, 1
+        for n in range(1, 3001):
+            a, b = b, a + b
+            if n < 100 or n % 29 == 0 or n > 2990:
+                self.check(a, b)
+        assert (a, b) == fib_pair(3000)
+
+    def test_ends_of_the_interval(self):
+        for variant in ("minus", "plus"):
+            assert cf_from_rational(0, 1 << 100, variant=variant) == ZERO
+            assert cf_from_rational((1 << 100) + 7, (1 << 100) + 7,
+                                    variant=variant) == ONE
+        self.check(0, 1)
+        self.check(1, 1)
+
+
 class TestCanonicalForm:
     def test_cycle_is_minimised(self):
         assert CF((), (2, 2)).period == (2,)
@@ -330,6 +399,36 @@ class TestMinkowski:
     def test_truncated_rejected(self):
         with pytest.raises(TruncationExhausted):
             minkowski_q(CF((2,), exact=False))
+
+    @given(st.one_of(
+        st.builds(cf_from_rational, fractions_01,
+                  variant=st.sampled_from(["minus", "plus"])),
+        st.builds(lambda h, p: CF(tuple(h), tuple(p)),
+                  st.lists(st.integers(1, 30), max_size=5),
+                  st.lists(st.integers(1, 30), min_size=1, max_size=5))))
+    def test_matches_term_by_term_sum(self, x):
+        want = qmark_series(x)
+        got = minkowski_q(x)
+        assert got == want
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+
+def qmark_series(x):
+    """?(x) summed one Fraction per digit, the cycle closed by its
+    geometric ratio: the series definition, term by term."""
+    total, expo, sign = Fraction(0), 0, 1
+    for a in x.head:
+        expo += a
+        total += Fraction(sign, 1 << expo)
+        sign = -sign
+    if x.period:
+        first = Fraction(0)
+        for b in x.period:
+            expo += b
+            first += Fraction(sign, 1 << expo)
+            sign = -sign
+        total += first / (1 - Fraction((-1) ** len(x.period), 1 << sum(x.period)))
+    return 2 * total
 
 
 class TestBinaryString:

@@ -8,7 +8,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from cfdyn.cf import ZERO, ContinuedFraction, cf_from_rational
+from cfdyn.cf import (
+    ZERO,
+    ContinuedFraction,
+    _last_convergent,
+    cf_from_rational,
+    cf_value,
+)
 from cfdyn.errors import (
     DerivativeUndefined,
     DomainError,
@@ -18,8 +24,10 @@ from cfdyn.errors import (
 from cfdyn.maps import (
     FIBONACCI_ALPHA,
     GAUSS_ALPHA,
+    _orbit_runs,
     fibonacci_fixed_point,
     log_deriv_at,
+    orbit,
     t_alpha_step,
 )
 from cfdyn.series import fibonacci
@@ -151,6 +159,50 @@ class TestAgainstStepwiseReference:
             tracemalloc.stop()
         assert got.steps == 4000
         assert peak < 8 * 2 ** 20
+
+
+class TestCursorWindow:
+    """The cursor's sliding convergent window against a rebuild from its
+    digit stream, after every run of steps."""
+
+    @given(parameters, starts, st.integers(1, 300))
+    # a head of 45 digits: its end enters the window after 5 drops
+    @example(GAUSS_ALPHA, CF(tuple(range(1, 46))), 300)
+    # a 41-digit rational under (2): strips at depth 1, then reduce runs
+    @example(CF((), (2,)), CF((3,) * 40 + (5,)), 300)
+    # drops that cross from the head into the period
+    @example(GAUSS_ALPHA, CF((5, 3), (2, 7, 1)), 40)
+    @example(CF((), (2,)), CF((2, 2, 1), (4, 3)), 40)
+    # a reduce run on an empty head: set_first takes a period digit
+    @example(FIBONACCI_ALPHA, CF((), (3, 1)), 20)
+    @example(FIBONACCI_ALPHA, CF((), (4,)), 20)
+    # strips at depth 4, and at depth 51, deeper than the window
+    @example(CF((), (2,)), CF((2, 2, 2, 1, 5, 6)), 10)
+    @example(CF((), (2,)), CF((2,) * 50 + (1, 3) * 30), 10)
+    @example(CF((), (2,)), CF((2,) * 50 + (1,), (3, 1)), 10)
+    # truncated: the window ends where the settled digits do
+    @example(GAUSS_ALPHA, CF(tuple(range(1, 60)), exact=False), 300)
+    @example(FIBONACCI_ALPHA, cf_from_rational(1, 10), 3)
+    def test_window_matches_rebuild(self, alpha, x, n):
+        try:
+            for cur, _, _ in _orbit_runs(alpha, x, n):
+                count, p, pm1, q, qm1 = _last_convergent(cur.digits(), 40)
+                assert (cur.w, cur.p, cur.pm1, cur.q, cur.qm1) == \
+                    (count, p, pm1, q, qm1)
+                assert cur.value() == p / q
+        except TruncationExhausted:
+            pass
+
+    @given(parameters, starts, st.integers(1, 300))
+    # 1/10 under (1): one run of nine telescoped reduce steps
+    @example(FIBONACCI_ALPHA, cf_from_rational(1, 10), 300)
+    @example(FIBONACCI_ALPHA, CF((), (9, 1)), 40)
+    @example(CF((), (2,)), CF((7, 3)), 300)
+    def test_shadows_are_cf_values(self, alpha, x, n):
+        rec = orbit(alpha, x, n)
+        assert len(rec.shadow) == len(rec.states)
+        for state, value in zip(rec.states, rec.shadow):
+            assert value.hex() == cf_value(state)[0].hex()
 
 
 class TestDenominatorGrowth:
