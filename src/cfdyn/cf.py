@@ -283,13 +283,15 @@ def _euclid_quotients(u: int, v: int) -> list[int]:
     """The quotients of Euclid's algorithm on u >= v >= 0.
 
     Lehmer's method (Knuth, TAOCP vol. 2, section 4.5.2, Algorithm L):
-    while v is wider than 62 bits, the quotients are found from the
-    leading 62 bits of u and v alone, each accepted only while both ends
-    of its error bracket, (u' + A)//(v' + C) and (u' + B)//(v' + D), agree;
-    the cofactors (A, B; C, D) then move the full integers once for the
-    whole batch.  If no quotient is certain (B == 0), one full divmod is
-    taken.  Plain Euclid finishes below 2**62.  62 bits is the measured
-    sweet spot: 126-, 254- and 510-bit windows were no faster."""
+    while v is wider than 62 bits, Euclid runs on u', the leading 62 bits
+    of u, and v', the same bits of v.  A quotient is accepted only while
+    both ends of its error bracket, (u' + A)//(v' + C) and
+    (u' + B)//(v' + D), agree; the cofactors (A, B; C, D) then move the
+    full integers once for the whole batch.  If no quotient is certain
+    (B == 0), one full divmod is taken.  Plain Euclid finishes below
+    2**62.  62 bits is not a setting: on 8000- and 16000-bit starts,
+    30- and 126-bit windows measured about as fast, 254 and 510 bits
+    slower."""
     out = []
     while v.bit_length() > 62:
         shift = u.bit_length() - 62
@@ -322,9 +324,9 @@ def cf_from_rational(value, den=None, variant: str = "minus") -> ContinuedFracti
     variant "plus":  last digit 1 (the other expansion of the same number).
 
     The digits of p/q are the quotients of Euclid's algorithm on (q, p),
-    found by Lehmer's leading-digit method (see _euclid_quotients), so a
-    start of n bits costs about n**2/62 bit operations in a few thousand
-    big-integer steps rather than one per digit.
+    found by Lehmer's leading-digit method (see _euclid_quotients): the
+    full-width integers move once per batch of quotients (about 16 for a
+    random dyadic start) rather than once per digit.
     """
     fr = Fraction(value, den) if den is not None else Fraction(value)
     if not 0 <= fr <= 1:
@@ -619,7 +621,7 @@ def minkowski_q(x: ContinuedFraction) -> Fraction:
     for b in x.period:
         num = (num << b) + sign
         sign = -sign
-    turn = -1 if len(x.period) % 2 else 1  # (-1)**L
+    turn = (-1) ** len(x.period)
     return Fraction(2 * (num - turn * head_num),
                     (1 << expo) * ((1 << sum(x.period)) - turn))
 

@@ -138,7 +138,7 @@ class _Cursor:
     is used up.
 
     The cursor also keeps a sliding convergent window: the product
-    G = prod [[a_i, 1], [1, 0]] of its first w = min(40, available)
+    G = prod [[a_i, 1], [1, 0]] of its first w = min(_WINDOW, available)
     digits, stored as (p, p_prev, q, q_prev) with G = [[q, q_prev],
     [p, p_prev]] -- the integers _last_convergent gives for those digits,
     so p/q is cf_value's float.  Each edit updates G in a few exact steps
