@@ -13,6 +13,12 @@ acts at the first disagreement:
 
 The parameter's digit stream is what matters, so the two expansions of
 a rational parameter give genuinely different maps; both are useful.
+
+Single steps, log-derivatives and orbits share one comparison,
+`_compare`, which reads digits by index: the parameter's from its head
+and one period, the point's from the list an orbit cursor edits (the
+head, last digit first, then the period from a phase).  No digit stream
+is built per step.
 """
 
 from __future__ import annotations
@@ -47,58 +53,61 @@ FIBONACCI_ALPHA = ContinuedFraction((), (1,))
 _WINDOW = 40  # digits behind an orbit point's float, cf_value's default depth
 
 
-@dataclass(frozen=True)
-class StepDecision:
-    """Where and how the digit comparison resolved.
+def _compare(alpha: ContinuedFraction, rev: list, period: tuple, phase: int,
+             exact: bool, cap: int) -> tuple:
+    """Compare the parameter's digits with a point's, at most cap of them;
+    this comparison is the definition of the map.
 
-    For strip/reduce, (c, d) is the bottom row of the inverse-branch
-    matrix: |T'(x)| equals (c*y + d)**2 with y the image of x."""
-
-    case: str  # "strip" | "reduce" | "zero"
-    k: int = 0
-    digit_x: float = 0
-    digit_alpha: float = 0
-    c: int = 0
-    d: int = 0
-
-
-def _decide(alpha: ContinuedFraction, dx: Iterator, cap: int) -> StepDecision:
-    """Compare the parameter's digits with the stream dx, at most cap of
-    them; this comparison is the definition of the map."""
-    da = alpha.digits()
+    The point is laid out as _Cursor holds it; a rational's digits past
+    its head are INF.  Returns (case, k, b, a, c, d): case is "strip",
+    "reduce" or "zero", k the index where it resolved, b and a the
+    point's and the parameter's digits there, and (c, d) the bottom row
+    of the inverse-branch matrix: |T'(x)| = (c*y + d)**2, y the image."""
+    ah, ap = alpha.head, alpha.period
+    na, h = len(ah), len(rev)
     qm1, q = 0, 1  # q_{k-2}, q_{k-1} of the shared prefix, starting at k = 1
-    for k in range(1, cap + 1):
-        a = next(da, None)
-        b = next(dx, None)
+    for i in range(cap):
+        if i < na:
+            a = ah[i]
+        elif ap:
+            a = ap[(i - na) % len(ap)]
+        else:  # None past a truncated stream's settled digits
+            a = INF if alpha.exact else None
+        if i < h:
+            b = rev[h - 1 - i]
+        elif period:
+            b = period[(phase + i - h) % len(period)]
+        else:
+            b = INF if exact else None
         if a is None or b is None:
-            raise TruncationExhausted(f"digit {k} is not settled")
+            raise TruncationExhausted(f"digit {i + 1} is not settled")
+        if b is INF:  # x has ended: it is the parameter or a prefix of it
+            return "zero", i + 1, b, a, 0, 0
         if a == b:
-            if not isinstance(a, int):  # both streams ended: equal rationals
-                return StepDecision("zero", k)
             qm1, q = q, a * q + qm1
-            continue
-        if not isinstance(b, int):  # x ends first: prefix of the parameter
-            return StepDecision("zero", k)
-        if not isinstance(a, int) or b < a:
-            return StepDecision("strip", k, b, a, q, q * b + qm1)
-        return StepDecision("reduce", k, b, a, a * q + qm1, q)
+        elif a is INF or b < a:
+            return "strip", i + 1, b, a, q, q * b + qm1
+        else:
+            return "reduce", i + 1, b, a, a * q + qm1, q
     # streams agree beyond the decision horizon for eventually periodic
     # sequences, hence agree everywhere
-    return StepDecision("zero", cap + 1)
+    return "zero", cap + 1, 0, 0, 0, 0
 
 
-def _image(d: StepDecision, x: ContinuedFraction) -> ContinuedFraction:
-    if d.case == "zero":
-        return ZERO
-    if d.case == "strip":
-        return drop_digits(x, d.k)
-    return replace_first_digit(drop_digits(x, d.k - 1), d.digit_x - d.digit_alpha)
+def _step(alpha: ContinuedFraction, x: ContinuedFraction) -> tuple:
+    """(image, case, c, d) for one step from x, as _compare decides it."""
+    cap = _decision_horizon(alpha, len(x.head), len(x.period))
+    case, k, b, a, c, d = _compare(alpha, x.head[::-1], x.period, 0, x.exact, cap)
+    if case == "zero":
+        return ZERO, case, c, d
+    if case == "strip":
+        return drop_digits(x, k), case, c, d
+    return replace_first_digit(drop_digits(x, k - 1), b - a), case, c, d
 
 
 def t_alpha_step(alpha: ContinuedFraction, x: ContinuedFraction) -> ContinuedFraction:
     """One application of the map with the given parameter expansion."""
-    cap = _decision_horizon(alpha, len(x.head), len(x.period))
-    return _image(_decide(alpha, x.digits(), cap), x)
+    return _step(alpha, x)[0]
 
 
 def _log_deriv(c: int, d: int, y: float) -> float:
@@ -117,11 +126,10 @@ def log_deriv_at(alpha: ContinuedFraction, x: ContinuedFraction) -> float:
     whose expansion is a prefix of the parameter's.  It takes one step
     through the public path, so it is the reference that orbit averages
     are tested against."""
-    d = _decide(alpha, x.digits(), _decision_horizon(alpha, len(x.head), len(x.period)))
-    if d.case == "zero":
+    image, case, c, d = _step(alpha, x)
+    if case == "zero":
         raise DerivativeUndefined("the comparison never resolves at this point")
-    y, _ = cf_value(_image(d, x))
-    return _log_deriv(d.c, d.d, y)
+    return _log_deriv(c, d, cf_value(image)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +143,8 @@ class _Cursor:
     `rev` is the remaining head, last digit first, so a step drops or
     rewrites only the leading digits it consumes and never copies the
     expansion; `phase` is where the period stream resumes once the head
-    is used up.
+    is used up.  Digit i is rev[h-1-i] while i < h = len(rev), then
+    period[(phase + i - h) % len(period)]; _compare and drop read it so.
 
     The cursor also keeps a sliding convergent window: the product
     G = prod [[a_i, 1], [1, 0]] of its first w = min(_WINDOW, available)
@@ -145,8 +154,9 @@ class _Cursor:
     instead of rebuilding it: a dropped digit a left-multiplies G by
     [[a, 1], [1, 0]]^-1 = [[0, 1], [1, -a]] and each digit entering the
     window at the far end right-multiplies it by [[b, 1], [1, 0]]; a new
-    first digit is one shear of row 0 by row 1.  A drop deeper than the
-    window rebuilds it."""
+    first digit is one shear of row 0 by row 1.  drop reads both kinds
+    of digit from the list by index; a drop deeper than the window
+    rebuilds it."""
 
     __slots__ = ("rev", "period", "phase", "exact", "w", "p", "pm1", "q", "qm1")
 
@@ -168,32 +178,29 @@ class _Cursor:
             return chain(head, islice(cycle(self.period), self.phase, None))
         return chain(head, repeat(INF)) if self.exact else head
 
-    def _ahead(self, start: int, stop: int) -> list:
-        """The stream's digits at positions start..stop-1."""
-        h = len(self.rev)
-        if stop <= h:
-            return self.rev[h - stop:h - start][::-1]
-        return list(islice(self.digits(), start, stop))
-
     def drop(self, j: int) -> None:
-        w = self.w
-        if j <= w:  # the dropped digits, and the ones that refill the window
-            gone, new = self._ahead(0, j), self._ahead(w, w + j)
-        extra = j - len(self.rev)
-        if extra > 0:  # only a periodic stream has digits past the head
-            self.rev.clear()
-            self.phase = (self.phase + extra) % len(self.period)
-        elif j:
-            del self.rev[-j:]
+        rev, period, phase, w = self.rev, self.period, self.phase, self.w
+        h = len(rev)
+        if j <= w:
+            p, pm1, q, qm1 = self.p, self.pm1, self.q, self.qm1
+            for i in range(h - 1, h - 1 - j, -1):  # digits 0..j-1 leave
+                a = rev[i] if i >= 0 else period[(phase - 1 - i) % len(period)]
+                q, qm1, p, pm1 = p, pm1, q - a * p, qm1 - a * pm1
+            count = w - j
+            for i in range(h - 1 - w, h - 1 - w - j, -1):  # w..w+j-1 enter
+                if i < 0 and not period:  # past a rational's or a truncated head
+                    break
+                b = rev[i] if i >= 0 else period[(phase - 1 - i) % len(period)]
+                p, pm1, q, qm1 = b * p + pm1, p, b * q + qm1, q
+                count += 1
+            self.w, self.p, self.pm1, self.q, self.qm1 = count, p, pm1, q, qm1
+        if j > h:  # only a periodic stream has digits past the head
+            rev.clear()
+            self.phase = (phase + j - h) % len(period)
+        else:
+            del rev[h - j:]
         if j > w:
             self._rebuild()
-            return
-        p, pm1, q, qm1 = self.p, self.pm1, self.q, self.qm1
-        for a in gone:
-            q, qm1, p, pm1 = p, pm1, q - a * p, qm1 - a * pm1
-        count, self.p, self.pm1, self.q, self.qm1 = _last_convergent(
-            new, j, (p, pm1, q, qm1))
-        self.w = w - j + count
 
     def set_first(self, digit: int) -> None:
         if self.rev:
@@ -242,25 +249,26 @@ def _orbit_runs(alpha: ContinuedFraction, x: ContinuedFraction,
     ends once the cursor is 0.  TruncationExhausted propagates when a
     truncated point runs out of settled digits."""
     cur = _Cursor(x)
+    horizon = _decision_horizon(alpha, 0, len(cur.period))  # plus the head's length
     steps = 0
     while steps < n:
-        d = _decide(alpha, cur.digits(),
-                    _decision_horizon(alpha, len(cur.rev), len(cur.period)))
-        if d.case == "zero":
+        case, k, b, a, c, d = _compare(alpha, cur.rev, cur.period, cur.phase,
+                                       cur.exact, horizon + len(cur.rev))
+        if case == "zero":
             yield cur, 0, 0.0
             return
-        if d.case == "reduce" and d.k == 1:
-            m = min((d.digit_x - 1) // d.digit_alpha, n - steps)
-            cur.set_first(d.digit_x - m * d.digit_alpha)
-            dlog = _log_deriv(m * d.digit_alpha, 1, cur.value())
+        if case == "reduce" and k == 1:
+            m = min((b - 1) // a, n - steps)
+            cur.set_first(b - m * a)
+            dlog = _log_deriv(m * a, 1, cur.value())
         else:
-            if d.case == "strip":
-                cur.drop(d.k)
+            if case == "strip":
+                cur.drop(k)
             else:
-                cur.drop(d.k - 1)
-                cur.set_first(d.digit_x - d.digit_alpha)
+                cur.drop(k - 1)
+                cur.set_first(b - a)
             m = 1
-            dlog = _log_deriv(d.c, d.d, cur.value())
+            dlog = _log_deriv(c, d, cur.value())
         steps += m
         yield cur, m, dlog
         if cur.is_zero():

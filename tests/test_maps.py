@@ -6,24 +6,33 @@ involution give digit-exact cross-checks for every other member tested.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from cfdyn.cf import (
+    INF,
     ONE,
     ZERO,
     ContinuedFraction,
+    _decision_horizon,
+    _last_convergent,
     cf_complement,
     cf_from_rational,
     cf_to_rational,
     cf_value,
+    drop_digits,
+    replace_first_digit,
 )
 from cfdyn.errors import DerivativeUndefined, DomainError, TruncationExhausted
 from cfdyn.maps import (
+    _WINDOW,
     FIBONACCI_ALPHA,
     GAUSS_ALPHA,
+    _compare,
+    _Cursor,
     fibonacci_fixed_point,
     is_periodic_point,
     jimm,
@@ -43,6 +52,10 @@ periodics = st.builds(
     lambda h, p: CF(tuple(h), tuple(p)),
     st.lists(st.integers(1, 5), min_size=0, max_size=3),
     st.lists(st.integers(1, 5), min_size=1, max_size=4),
+)
+truncated = st.builds(
+    lambda h: CF(tuple(h), exact=False),
+    st.lists(st.integers(1, 5), min_size=0, max_size=6),
 )
 
 
@@ -308,3 +321,183 @@ class TestArgumentChecks:
     def test_truncated_comparison_raises(self):
         with pytest.raises(TruncationExhausted):
             t_alpha_step(GAUSS_ALPHA, CF((), (), False))
+
+
+# ---------------------------------------------------------------------------
+# The digit comparison and the orbit cursor, against plain digit streams
+# ---------------------------------------------------------------------------
+
+
+def reference_compare(alpha, x):
+    """The map's comparison on two digits() generators: (case, k, b, a,
+    c, d), with the index k where it resolved and the bottom row (c, d)
+    of the inverse-branch matrix; TruncationExhausted names the digit."""
+    da, dx = alpha.digits(), x.digits()
+    cap = _decision_horizon(alpha, len(x.head), len(x.period))
+    qm1, q = 0, 1
+    for k in range(1, cap + 1):
+        a, b = next(da, None), next(dx, None)
+        if a is None or b is None:
+            raise TruncationExhausted(f"digit {k} is not settled")
+        if a == b:
+            if not isinstance(a, int):  # both streams ended
+                return "zero", k, b, a, 0, 0
+            qm1, q = q, a * q + qm1
+        elif not isinstance(b, int):  # x ended first
+            return "zero", k, b, a, 0, 0
+        elif not isinstance(a, int) or b < a:
+            return "strip", k, b, a, q, q * b + qm1
+        else:
+            return "reduce", k, b, a, a * q + qm1, q
+    return "zero", cap + 1, 0, 0, 0, 0
+
+
+def reference_image(x, decision):
+    case, k, b, a = decision[:4]
+    if case == "zero":
+        return ZERO
+    if case == "strip":
+        return drop_digits(x, k)
+    return replace_first_digit(drop_digits(x, k - 1), b - a)
+
+
+def compare_point(alpha, x):
+    """_compare on x laid out as an orbit cursor holds it."""
+    cap = _decision_horizon(alpha, len(x.head), len(x.period))
+    return _compare(alpha, x.head[::-1], x.period, 0, x.exact, cap)
+
+
+def outcome(fn, *args):
+    """fn's result, or the message of the TruncationExhausted it raised."""
+    try:
+        return fn(*args)
+    except TruncationExhausted as exc:
+        return ("raised", str(exc))
+
+
+COMPARED_PARAMETERS = [
+    GAUSS_ALPHA, cf_from_rational(1, 2), cf_from_rational(1, 2, "plus"),
+    GOLDEN, SQRT2M1, CF((), (1, 2)), CF((3,), (1, 2)),
+    CF((2, 1, 3), exact=False),
+]
+
+
+class TestComparison:
+    """The index-reading comparison against the generator-based one."""
+
+    @staticmethod
+    def agree(alpha, x):
+        want = outcome(reference_compare, alpha, x)
+        got = outcome(compare_point, alpha, x)
+        if want[0] == "raised":
+            assert got == want
+            return
+        case, k, _, _, c, d = got
+        assert (case, k, c, d) == (want[0], want[1], want[4], want[5])
+        assert outcome(t_alpha_step, alpha, x) == \
+            outcome(reference_image, x, want)
+
+    @pytest.mark.parametrize("alpha", COMPARED_PARAMETERS, ids=str)
+    @given(st.one_of(st.builds(cf_from_rational, fractions_01,
+                               variant=variants), periodics, truncated))
+    def test_points(self, alpha, x):
+        self.agree(alpha, x)
+
+    def test_parameter_zero_resolves_at_first_digit(self):
+        assert compare_point(GAUSS_ALPHA, CF((7, 2))) == \
+            ("strip", 1, 7, INF, 1, 7)
+
+    def test_equal_rationals_are_zero(self):
+        half = cf_from_rational(1, 2)
+        assert compare_point(half, half)[:2] == ("zero", 2)
+        assert compare_point(GAUSS_ALPHA, ZERO)[:2] == ("zero", 1)
+        self.agree(half, half)
+
+    def test_prefix_of_parameter_is_zero(self):
+        assert compare_point(CF((3,), (1, 2)), CF((3, 1)))[:2] == ("zero", 3)
+        assert compare_point(GOLDEN, CF((1, 1)))[:2] == ("zero", 3)
+        self.agree(CF((3,), (1, 2)), CF((3, 1)))
+
+    def test_periodic_agreement_past_horizon_is_zero(self):
+        alpha = CF((3,), (1, 2))
+        cap = _decision_horizon(alpha, 1, 2)
+        assert compare_point(alpha, alpha)[:2] == ("zero", cap + 1)
+        self.agree(alpha, alpha)
+
+    def test_truncation_raised_at_the_same_digit(self):
+        alpha = CF((2, 1, 3), exact=False)
+        assert outcome(compare_point, alpha, CF((2, 1, 3, 4))) == \
+            ("raised", "digit 4 is not settled")
+        assert outcome(compare_point, GOLDEN, CF((1, 1), exact=False)) == \
+            ("raised", "digit 3 is not settled")
+        self.agree(alpha, CF((2, 1, 3, 4)))
+
+
+def window(cur):
+    return (cur.w, cur.p, cur.pm1, cur.q, cur.qm1)
+
+
+class TestCursorWindow:
+    """After every edit the cursor's window equals a rebuild of the first
+    _WINDOW digits, and the comparison over its list agrees with the
+    generator-based one on the point it holds."""
+
+    @staticmethod
+    def check(cur, alpha=GOLDEN):
+        assert window(cur) == _last_convergent(cur.digits(), _WINDOW)
+        x = cur.state()
+        cap = _decision_horizon(alpha, len(cur.rev), len(cur.period))
+        assert outcome(_compare, alpha, cur.rev, cur.period, cur.phase,
+                       cur.exact, cap) == outcome(reference_compare, alpha, x)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_edits(self, seed):
+        rng = random.Random(seed)
+        digits = [rng.randint(1, 9) for _ in range(rng.randint(0, 90))]
+        period = tuple(rng.randint(1, 5) for _ in range(rng.randint(1, 3)))
+        x = rng.choice([CF(tuple(digits)), CF(tuple(digits), exact=False),
+                        CF(tuple(digits[:rng.randint(0, 8)]), period)])
+        cur = _Cursor(x)
+        self.check(cur)
+        for _ in range(120):
+            left = len(cur.rev) if not cur.period else 10 ** 6
+            if left and rng.random() < 0.4:
+                cur.set_first(rng.randint(1, 9))
+            else:
+                cur.drop(min(left, rng.choice((0, 1, 1, 2, 3, 7, 39, 40, 41,
+                                               55))))
+            self.check(cur)
+            if not cur.period and not cur.rev:
+                break
+
+    def test_drop_deeper_than_window(self):
+        cur = _Cursor(CF(tuple(range(1, 100))))
+        cur.drop(_WINDOW + 5)
+        self.check(cur)
+        assert cur.rev[-1] == _WINDOW + 6
+
+    def test_drop_crossing_into_period(self):
+        cur = _Cursor(CF((5, 7, 2), (1, 3, 2, 4)))
+        cur.drop(5)
+        self.check(cur)
+        assert (cur.rev, cur.phase) == ([], 2)
+
+    def test_set_first_on_empty_head(self):
+        cur = _Cursor(CF((), (2, 3)))
+        cur.drop(1)
+        assert cur.rev == [] and cur.phase == 1
+        cur.set_first(7)
+        self.check(cur)
+        assert (cur.rev, cur.phase) == ([7], 0)
+
+    def test_rational_head_ends_inside_window(self):
+        cur = _Cursor(CF(tuple(range(1, 31))))
+        assert cur.w == 30
+        for j in (1, 3, 10):
+            cur.drop(j)
+            self.check(cur)
+        assert cur.w == 16
+        cur.set_first(4)
+        cur.drop(16)
+        self.check(cur)
+        assert cur.is_zero() and cur.w == 0

@@ -4,9 +4,11 @@
 nine parameters, the `.hex()` of every `lyapunov_orbit` mean with its
 step count and termination flag (or the exception it raised), a digest
 of each `orbit` record (states, shadows, log-derivative sum), digests of
-`cf_from_rational` digits for large dyadic starts, and two small
-`monte_carlo_lyapunov` means.  Any change to the orbit or expansion code
-that moves a single float bit or digit fails here.
+`cf_from_rational` digits for large dyadic starts, two small
+`monte_carlo_lyapunov` means, and the two means of acceptance criterion
+5 (classical 50 x 2000 and golden 50 x 4000, seed 7).  Any change to the
+orbit or expansion code that moves a single float bit or digit fails
+here.
 
 Regenerate (only when a change is meant to move these numbers) with
 
@@ -110,9 +112,15 @@ def compute() -> dict:
         "0": monte_carlo_lyapunov(GAUSS_ALPHA, 6, 200, seed=4).value.hex(),
         "(1)": monte_carlo_lyapunov(FIBONACCI_ALPHA, 6, 200, seed=4).value.hex(),
     }
+    # the estimates test_criterion_5_lyapunov_constants compares with the
+    # exponents; pinned here so they are held bit for bit on their own
+    criterion_5 = {
+        "0": monte_carlo_lyapunov(GAUSS_ALPHA, 50, 2000, seed=7).value.hex(),
+        "(1)": monte_carlo_lyapunov(FIBONACCI_ALPHA, 50, 4000, seed=7).value.hex(),
+    }
     return {"starts": [cf_to_text(x) for x in xs], "lyapunov_orbit": lyap,
             "orbit": orbits, "cf_from_rational": expansions,
-            "monte_carlo_means": means}
+            "monte_carlo_means": means, "criterion_5_means": criterion_5}
 
 
 @pytest.fixture(scope="module")
@@ -131,7 +139,8 @@ def test_starts_unchanged(pinned, current):
 
 
 @pytest.mark.parametrize("section", ["lyapunov_orbit", "orbit",
-                                     "cf_from_rational", "monte_carlo_means"])
+                                     "cf_from_rational", "monte_carlo_means",
+                                     "criterion_5_means"])
 def test_bit_identical(pinned, current, section):
     want, got = pinned[section], current[section]
     assert got.keys() == want.keys()
