@@ -388,14 +388,10 @@ class TestComparison:
     @staticmethod
     def agree(alpha, x):
         want = outcome(reference_compare, alpha, x)
-        got = outcome(compare_point, alpha, x)
-        if want[0] == "raised":
-            assert got == want
-            return
-        case, k, _, _, c, d = got
-        assert (case, k, c, d) == (want[0], want[1], want[4], want[5])
-        assert outcome(t_alpha_step, alpha, x) == \
+        assert outcome(compare_point, alpha, x) == want
+        image = want if want[0] == "raised" else \
             outcome(reference_image, x, want)
+        assert outcome(t_alpha_step, alpha, x) == image
 
     @pytest.mark.parametrize("alpha", COMPARED_PARAMETERS, ids=str)
     @given(st.one_of(st.builds(cf_from_rational, fractions_01,
@@ -433,18 +429,17 @@ class TestComparison:
         self.agree(alpha, CF((2, 1, 3, 4)))
 
 
-def window(cur):
-    return (cur.w, cur.p, cur.pm1, cur.q, cur.qm1)
-
-
-class TestCursorWindow:
-    """After every edit the cursor's window equals a rebuild of the first
-    _WINDOW digits, and the comparison over its list agrees with the
-    generator-based one on the point it holds."""
+class TestCursorEdits:
+    """drop and set_first called directly, in orders an orbit need not
+    take (test_lyapunov checks the window after orbit runs): after every
+    edit the window equals a rebuild of the first _WINDOW digits, and the
+    comparison over the cursor's list agrees with the generator-based one
+    on the point it holds."""
 
     @staticmethod
     def check(cur, alpha=GOLDEN):
-        assert window(cur) == _last_convergent(cur.digits(), _WINDOW)
+        assert (cur.w, cur.p, cur.pm1, cur.q, cur.qm1) == \
+            _last_convergent(cur.digits(), _WINDOW)
         x = cur.state()
         cap = _decision_horizon(alpha, len(cur.rev), len(cur.period))
         assert outcome(_compare, alpha, cur.rev, cur.period, cur.phase,
