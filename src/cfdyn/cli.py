@@ -15,7 +15,6 @@ import math
 import os
 import re
 import sys
-import tempfile
 from fractions import Fraction
 
 import numpy as np
@@ -83,8 +82,13 @@ def point_text(x: ContinuedFraction) -> str:
 
 
 def _atomic_bytes(path: str, data: bytes) -> None:
+    """Write data to path through a temp file in the same directory and
+    a rename.  The temp file is created with mode 0o666 less the umask,
+    the mode a plain open(path, "w") gives, and the rename keeps it."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-cfdyn-")
+    tmp = os.path.join(directory, f".tmp-cfdyn-{os.urandom(8).hex()}")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    fd = os.open(tmp, flags, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
@@ -232,12 +236,29 @@ def heatmap_pgm(values: np.ndarray) -> bytes:
 
 
 def heatmap_csv(values: np.ndarray, n: int) -> str:
+    """CSV text of an n-by-n `heatmap_values` grid.
+
+    A header `alpha,x,value`, then one row per cell: rows follow alpha
+    and, within one alpha, x varies fastest.  Coordinates are the
+    midpoints (2i+1)/2n and every number is printed as `.17g`; lines end
+    in CRLF, the last one too.  A grid holds far fewer distinct values
+    than cells (1368 of 65 536 at n = 256, k = 1), so each distinct
+    value is formatted once and its text reused.  Values are keyed on
+    float equality, under which -0.0 and 0.0 are one key; the map's
+    values are p/q with p >= 0 and never -0.0."""
+    if values.shape != (n, n):
+        raise DomainError(f"values of shape {values.shape} are not a "
+                          f"{n}-by-{n} grid")
     coords = [f"{(2 * i + 1) / (2 * n):.17g}" for i in range(n)]
+    text = {}
     rows = ["alpha,x,value"]
     for a, row in zip(coords, values):
-        rows.append("\r\n".join(f"{a},{x},{v:.17g}"
-                                 for x, v in zip(coords, row.tolist())))
-    return "\r\n".join(rows) + "\r\n"
+        rows.append("\r\n".join([
+            f"{a},{x},{text.get(v) or text.setdefault(v, f'{v:.17g}')}"
+            for x, v in zip(coords, row.tolist())]))
+    # an empty last row ends the text in CRLF without copying all of it
+    rows.append("")
+    return "\r\n".join(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -279,6 +279,26 @@ def _heatmap_files(tmp_path, jobs):
             for ext in ("pgm", "csv")]
 
 
+def _reference_csv(values, n):
+    """The heatmap CSV with every cell formatted on its own: the text
+    `cli.heatmap_csv` must reproduce byte for byte."""
+    coords = [f"{(2 * i + 1) / (2 * n):.17g}" for i in range(n)]
+    rows = ["alpha,x,value"]
+    for a, row in zip(coords, values):
+        rows.append("\r\n".join(f"{a},{x},{v:.17g}"
+                                 for x, v in zip(coords, row.tolist())))
+    return "\r\n".join(rows) + "\r\n"
+
+
+def _crafted_grid(n, seed):
+    """An n-by-n grid drawn from a few values that stress `.17g` text:
+    0.1 prints as 0.10000000000000001, unlike its repr; 5e-324 is the
+    smallest subnormal; 0.0 and 1.0 are the ends of the range."""
+    pool = [0.0, 1.0, 0.1, 1 / 3, 5e-324, 2 / 3, 0.5, 1 - 2 ** -53]
+    rng = np.random.default_rng(seed)
+    return np.array(pool)[rng.integers(len(pool), size=(n, n))]
+
+
 _rng = random.Random(20170)
 _ORACLE_GRIDS = [(_rng.randint(16, 40), k) for k in range(1, 6)]
 
@@ -307,6 +327,40 @@ class TestHeatmap:
         with open(GOLDEN_CSV, "rb") as fh:
             assert cli.heatmap_csv(vals, 16).encode() == fh.read()
 
+    @pytest.mark.parametrize("n, seed", [(16, 0), (17, 1), (40, 2)])
+    def test_csv_matches_per_cell_formatting(self, n, seed):
+        vals = _crafted_grid(n, seed)
+        assert cli.heatmap_csv(vals, n) == _reference_csv(vals, n)
+
+    def test_csv_of_one_repeated_value(self):
+        vals = np.full((16, 16), 0.1)
+        text = cli.heatmap_csv(vals, 16)
+        assert text == _reference_csv(vals, 16)
+        assert text.count(",0.10000000000000001\r\n") == 256
+
+    @pytest.mark.parametrize("n, k, variant", [(16, 1, "minus"),
+                                               (64, 2, "plus"),
+                                               (64, 3, "minus")])
+    def test_csv_matches_per_cell_formatting_on_map_values(self, n, k,
+                                                            variant):
+        vals = cli.heatmap_values(n, k, variant)
+        assert cli.heatmap_csv(vals, n) == _reference_csv(vals, n)
+
+    @pytest.mark.parametrize("variant", ["minus", "plus"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 40])
+    def test_values_hold_no_negative_zero(self, k, variant):
+        # heatmap_csv keys its text on float equality, which would print
+        # -0.0 as 0 after a 0.0; the map's values are p/q with p >= 0
+        vals = cli.heatmap_values(64, k, variant)
+        assert not np.signbit(vals).any()
+        assert np.all((0.0 <= vals) & (vals <= 1.0))
+
+    @pytest.mark.parametrize("shape, n", [((16, 16), 32), ((16, 16), 8),
+                                          ((16, 32), 16), ((256,), 16)])
+    def test_csv_rejects_values_of_another_shape(self, shape, n):
+        with pytest.raises(DomainError, match="grid"):
+            cli.heatmap_csv(np.zeros(shape), n)
+
     def test_cli_writes_both_files(self, tmp_path):
         out = tmp_path / "img.pgm"
         code = cli.main(["heatmap", "--grid", "16", "--iter", "1",
@@ -314,6 +368,25 @@ class TestHeatmap:
         assert code == 0
         assert (tmp_path / "img.pgm").exists()
         assert (tmp_path / "img.csv").exists()
+
+    @pytest.mark.parametrize("mask", [0o022, 0o077], ids=["022", "077"])
+    def test_output_files_get_the_umask_mode(self, mask, tmp_path):
+        # a temp file from mkstemp is 0600, and the rename would keep it
+        old = os.umask(mask)
+        try:
+            code = cli.main(["heatmap", "--grid", "16", "--iter", "1",
+                             "--out", str(tmp_path / "img.pgm")])
+            zeta = cli.main(["zeta", "--alpha", "0", "--s", "2",
+                             "--out", str(tmp_path / "zeta.csv")])
+            with open(tmp_path / "plain.txt", "w"):
+                pass
+        finally:
+            os.umask(old)
+        assert (code, zeta) == (0, 0)
+        modes = {name: os.stat(tmp_path / name).st_mode & 0o777
+                 for name in ("img.pgm", "img.csv", "zeta.csv", "plain.txt")}
+        assert modes == dict.fromkeys(modes, 0o666 & ~mask)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(modes)
 
     def test_jobs_below_one_rejected(self, tmp_path):
         code = cli.main(["heatmap", "--grid", "16", "--iter", "1",
