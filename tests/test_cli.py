@@ -359,7 +359,7 @@ class TestHeatmap:
 
     @pytest.mark.parametrize("mask", [0o022, 0o077], ids=["022", "077"])
     def test_output_files_get_the_umask_mode(self, mask, tmp_path):
-        # a temp file from mkstemp is 0600, and the rename would keep it
+        # the temp file behind each atomic write takes the umask, as open()
         old = os.umask(mask)
         try:
             code = cli.main(["heatmap", "--grid", "16", "--iter", "1",
