@@ -81,35 +81,54 @@ def point_text(x: ContinuedFraction) -> str:
     return "0" if x == ZERO else cf_to_text(x)
 
 
-def _atomic_bytes(path: str, data: bytes) -> None:
-    """Write data to path through a temp file in the same directory and
-    a rename.  The temp file is created with mode 0o666 less the umask,
-    the mode a plain open(path, "w") gives, and the rename keeps it."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    tmp = os.path.join(directory, f".tmp-cfdyn-{os.urandom(8).hex()}")
-    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
-    fd = os.open(tmp, flags, 0o666)
+# characters of a text encoded and written at a time, so a large text is
+# never held a second time as one bytes object
+_WRITE_CHUNK = 1 << 16
+
+
+def _atomic_write(*files: tuple[str, bytes | str]) -> None:
+    """Write each (path, data) pair through a temp file in the path's
+    directory, then rename the temp files into place in the order given.
+
+    Every temp file is written before the first rename, and a failed
+    rename unlinks the files this call already put in place, so a failed
+    call leaves none of its outputs and no temp file behind.  A temp
+    file is created with mode 0o666 less the umask, the mode a plain
+    open(path, "w") gives, and the rename keeps it.  A str is written as
+    UTF-8, _WRITE_CHUNK characters at a time."""
+    staged, placed = [], []
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
+        for path, data in files:
+            directory = os.path.dirname(os.path.abspath(path)) or "."
+            tmp = os.path.join(directory, f".tmp-cfdyn-{os.urandom(8).hex()}")
+            flags = (os.O_WRONLY | os.O_CREAT | os.O_EXCL
+                     | getattr(os, "O_BINARY", 0))
+            fd = os.open(tmp, flags, 0o666)
+            staged.append((tmp, path))
+            with os.fdopen(fd, "wb") as fh:
+                if isinstance(data, str):
+                    for i in range(0, len(data), _WRITE_CHUNK):
+                        fh.write(data[i:i + _WRITE_CHUNK].encode())
+                else:
+                    fh.write(data)
+        for tmp, path in staged:
+            os.replace(tmp, path)
+            placed.append(path)
     except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        leftovers = [tmp for tmp, path in staged[len(placed):]] + placed
+        for name in leftovers:
+            try:
+                os.unlink(name)
+            except OSError:
+                pass
         raise
-
-
-def _atomic_text(path: str, data: str) -> None:
-    _atomic_bytes(path, data.encode())
 
 
 # ---------------------------------------------------------------------------
 # heatmap rendering
 
 
-# (parameter, point) pairs stepped as one block, so the digit arrays'
+# (parameter, point) cells stepped as one block, so the state arrays'
 # memory stays bounded at any grid size
 _BLOCK_CELLS = 8192
 
@@ -141,36 +160,100 @@ def _grid_digits(n: int, variant: str) -> np.ndarray:
     return digits
 
 
-def _digit_step(alpha: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """One map step of the digit rows x under the parameter rows alpha.
+class _SuffixTable:
+    """Every suffix of every row of a `_grid_digits` array, sorted.
 
-    The rule is `t_alpha_step`'s digit comparison: at the first index i
-    where the rows differ or x has ended, x ending gives 0, the parameter
-    ending or a smaller digit of x drops i+1 digits, and a larger digit b
-    against a drops i digits and sets the new first digit to b-a."""
-    i = np.argmax((x != alpha) | (x == 0), axis=-1)[..., None]
-    a = np.take_along_axis(alpha, i, axis=-1)
-    b = np.take_along_axis(x, i, axis=-1)
-    reduce = (b > a) & (a > 0)
-    # the last column is 0 in every row, so clipping shifts zeros in
-    last = x.shape[-1] - 1
-    shift = np.minimum(np.arange(last + 1) + i + 1 - reduce, last)
-    y = np.take_along_axis(x, shift, axis=-1)
-    y[..., :1] -= np.where(reduce, a, 0)
-    return y
+    A suffix is named by its position in the lexicographic order of the
+    zero-padded suffixes (duplicates keep one position each); `pos[r, o]`
+    is the position of row r from digit o on.  Per position the table
+    holds `length`, the exact `P`/`Q` = [0; suffix] from the backward
+    recurrence, `adv[c]`, the position with c more digits dropped (the
+    empty suffix once the row is used up), and `digit[c]`, its digit c
+    (0 past its end).  The longest common prefix of two suffixes is the
+    minimum of the adjacent LCPs between their positions (Manber & Myers,
+    SIAM J. Comput. 22, 1993), read in O(1) from a sparse table of range
+    minima (Bender & Farach-Colton, LATIN 2000)."""
 
+    def __init__(self, grid: np.ndarray) -> None:
+        n, w = grid.shape
+        digits = grid.astype(np.int32)
+        self.digits, self.width = digits, w
+        # suffix (r, o) is digits[r, o:] padded with zeros to w columns
+        padded = np.concatenate([digits, np.zeros_like(digits)], axis=1)
+        offsets = np.arange(w)
+        suffixes = padded[:, offsets[:, None] + offsets].reshape(n * w, w)
+        order = np.lexsort(suffixes.T[::-1])
+        rank = np.empty(n * w, np.int32)
+        rank[order] = np.arange(n * w, dtype=np.int32)
+        self.pos = rank.reshape(n, w)
+        ranked = suffixes[order]
+        row, off = np.divmod(order, w)
+        self.length = np.count_nonzero(ranked, axis=1).astype(np.int32)
+        # the last column is 0 in every row, so clipping there reaches the
+        # empty suffix; a step drops at most w + 1 digits
+        self.adv = self.pos[row, np.minimum(off + np.arange(w + 2)[:, None],
+                                            w - 1)]
+        self.digit = ranked[:, 0][self.adv]
 
-def _digit_values(x: np.ndarray) -> np.ndarray:
-    """Values of digit rows: the p/q recurrence in int64, then one float
-    division.  p and q stay below 2^53, so p / q is correctly rounded,
-    as `cf_value`'s division of Python ints is."""
-    pm1, p = np.ones(x.shape[:-1], np.int64), np.zeros(x.shape[:-1], np.int64)
-    qm1, q = np.zeros_like(p), np.ones_like(p)
-    for a in np.moveaxis(x, -1, 0):
-        live = a > 0
-        p, pm1 = np.where(live, a * p + pm1, p), np.where(live, p, pm1)
-        q, qm1 = np.where(live, a * q + qm1, q), np.where(live, q, qm1)
-    return p / q
+        p, q = np.zeros(n, np.int64), np.ones(n, np.int64)
+        ps, qs = np.empty((n, w), np.int64), np.empty((n, w), np.int64)
+        for o in range(w - 1, -1, -1):
+            d = digits[:, o]
+            live = d > 0
+            p, q = np.where(live, q, 0), np.where(live, d * q + p, 1)
+            ps[:, o], qs[:, o] = p, q
+        self.P, self.Q = ps[row, off], qs[row, off]
+
+        # lcp[j] is the LCP of the suffixes at positions j and j + 1, and
+        # row h of the sparse table the minimum of 2^h adjacent entries
+        differ = ranked[1:] != ranked[:-1]
+        lcp = np.where(differ.any(axis=1), differ.argmax(axis=1), w)
+        levels, span = [lcp.astype(np.int32)], 1
+        while 2 * span <= len(lcp):
+            levels.append(np.minimum(levels[-1][:-span], levels[-1][span:]))
+            span *= 2
+        # one column per position, so u == v at the last one stays in range
+        self.rmq = np.full((len(levels), n * w), w, np.int32)
+        for h, level in enumerate(levels):
+            self.rmq[h, :len(level)] = level
+        # floor(log2 m) for every range length m >= 1
+        self.log2 = (np.frexp(np.arange(n * w))[1] - 1).astype(np.int32)
+
+    def lcp(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Longest common prefix of the zero-padded suffixes at positions
+        u and v; `width` when they are equal."""
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        h = self.log2[np.maximum(hi - lo, 1)]
+        got = np.minimum(self.rmq[h, lo], self.rmq[h, hi - (1 << h)])
+        return np.where(u == v, self.width, got)
+
+    def step(self, alpha: np.ndarray, f: np.ndarray, t: np.ndarray):
+        """One map step of the states (f, t) under the parameter rows
+        alpha (a column of row indices).
+
+        A state is the point [0; f, suffix t], or 0 where f is 0.  The
+        rule is `t_alpha_step`'s digit comparison: at the first index i
+        where the state and the parameter differ or the state has ended,
+        the state ending gives 0, the parameter ending or a smaller digit
+        of the state drops i+1 digits, and a larger digit b against a
+        drops i digits and sets the new first digit to b-a.  Parameter
+        digits past the first are the suffix at pos[alpha, 1], so i is 0
+        where f differs from the parameter's first digit and otherwise
+        1 + min(LCP, length of t).  t always starts at digit 1 or later
+        of its row, so i stays inside the parameter's row."""
+        head = self.digits[alpha, 0]
+        common = np.minimum(self.lcp(self.pos[alpha, 1], t), self.length[t])
+        i = np.where(f == head, 1 + common, 0)
+        a = self.digits[alpha, i]
+        b = np.where(i == 0, f, self.digit[np.maximum(i - 1, 0), t])
+        reduce = (b > a) & (a > 0)
+        f = np.where(b == 0, 0, np.where(reduce, b - a, self.digit[i, t]))
+        return f, self.adv[i + 1 - reduce, t]
+
+    def values(self, f: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Values Q_t / (f Q_t + P_t) of the states, 0.0 where f is 0."""
+        q, live = self.Q[t], f > 0
+        return np.where(live, q, 0) / np.where(live, f * q + self.P[t], 1)
 
 
 def _check_cells(values: np.ndarray, n: int, k: int, variant: str) -> None:
@@ -199,29 +282,37 @@ def heatmap_values(n: int, k: int, variant: str = "minus") -> np.ndarray:
     """T^k values on the n-by-n midpoint grid; entry [i, j] is the value
     at alpha = (2i+1)/2n, x = (2j+1)/2n, both exact dyadic expansions.
 
-    The midpoints' digits form one int64 array, 0 past each expansion's
-    end; blocks of parameter rows step all n points at once and stop
-    once every orbit in the block has reached the fixed point 0, which
-    each does within its digit sum.  A 16-by-16 subgrid (the whole grid
-    at n = 16) is then recomputed point by point through `t_alpha_step`
-    and must agree bit for bit."""
+    Every iterate of a grid point is a suffix of its own digit row with
+    at most the first digit rewritten, so a cell's state is two small
+    integers: f, the first digit (0 for the point 0), and t, the sorted
+    position of the remaining digits in the `_SuffixTable` of all grid
+    suffixes.  A step compares the state with the parameter through one
+    O(1) range-minimum LCP query, then strips or reduces by the map's
+    rule.  Blocks of parameter rows step all n points at once and stop
+    once every state in the block is 0, which each reaches within its
+    digit sum.  The value Q_t / (f Q_t + P_t) is the coprime pair that
+    `cf_value` divides, both below 2^53, so every value is the same
+    correctly rounded float.  A 16-by-16 subgrid (the whole grid at
+    n = 16) is then recomputed point by point through `t_alpha_step` and
+    must agree bit for bit."""
     if n < 16:
         raise DomainError("grid size must be >= 16")
     if k < 1:
         raise DomainError("iterate count must be >= 1")
     if variant not in ("minus", "plus"):
         raise DomainError(f"unknown variant {variant!r}")
-    grid = _grid_digits(n, variant)
+    table = _SuffixTable(_grid_digits(n, variant))
     block = max(1, _BLOCK_CELLS // n)
     values = np.empty((n, n))
     for start in range(0, n, block):
-        alpha = grid[start:start + block, None, :]
-        x = np.broadcast_to(grid, (len(alpha),) + grid.shape)
+        alpha = np.arange(start, min(start + block, n))[:, None]
+        f = np.broadcast_to(table.digits[:, 0], (len(alpha), n))
+        t = np.broadcast_to(table.pos[:, 1], (len(alpha), n))
         for _ in range(k):
-            if not x.any():
+            if not f.any():
                 break
-            x = _digit_step(alpha, x)
-        values[start:start + block] = _digit_values(x)
+            f, t = table.step(alpha, f, t)
+        values[start:start + block] = table.values(f, t)
     _check_cells(values, n, k, variant)
     return values
 
@@ -324,8 +415,9 @@ def cmd_heatmap(args) -> int:
         raise DomainError("need at least one job")
     base = args.out[:-4] if args.out.endswith(".pgm") else args.out
     values = heatmap_values(args.grid, args.iter, args.variant)
-    _atomic_bytes(base + ".pgm", heatmap_pgm(values))
-    _atomic_text(base + ".csv", heatmap_csv(values, args.grid))
+    # the CSV is renamed first: a failed PGM rename then removes it again
+    _atomic_write((base + ".csv", heatmap_csv(values, args.grid)),
+                  (base + ".pgm", heatmap_pgm(values)))
     print(f"wrote {base}.pgm and {base}.csv")
     return EXIT_OK
 
@@ -349,7 +441,7 @@ def cmd_spectrum(args) -> int:
         sup = float(np.max(np.abs(mine - scale * ref)))
         print(f"sup-distance {sup!r} against the {label} closed form")
     if args.out:
-        _atomic_text(args.out, dens.csv_text())
+        _atomic_write((args.out, dens.csv_text()))
         print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -377,7 +469,7 @@ def cmd_verify(args) -> int:
         report["passed"] = report["passed"] and all_passed(checks)
     text = json.dumps(report, indent=2)
     if args.out:
-        _atomic_text(args.out, text + "\n")
+        _atomic_write((args.out, text + "\n"))
         print(f"wrote {args.out}")
     else:
         print(text)
@@ -406,7 +498,7 @@ def cmd_lyapunov(args) -> int:
     }
     text = json.dumps(payload)
     if args.out:
-        _atomic_text(args.out, text + "\n")
+        _atomic_write((args.out, text + "\n"))
     print(text)
     return EXIT_OK
 
@@ -423,7 +515,7 @@ def cmd_zeta(args) -> int:
                      f"{args.y:.17g}", f"{got.value:.17g}", f"{got.tail:.17g}"])
     text = buf.getvalue()
     if args.out:
-        _atomic_text(args.out, text)
+        _atomic_write((args.out, text))
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)

@@ -257,7 +257,7 @@ class TestVerifyCommand:
 
 def _exact_heatmap(n, k, variant):
     """The grid point by point on exact expansions: the reference the
-    digit-array path must reproduce bit for bit."""
+    suffix-table engine must reproduce bit for bit."""
     grid = [cf_from_rational(Fraction(2 * j + 1, 2 * n), variant=variant)
             for j in range(n)]
     vals = np.empty((n, n))
@@ -382,22 +382,56 @@ class TestHeatmap:
         assert code == 2
         assert not (tmp_path / "x.pgm").exists()
 
+    @pytest.mark.parametrize("blocked", ["csv", "pgm"])
+    def test_failed_write_leaves_no_partial_output(self, blocked, tmp_path):
+        # one output path is a directory, so its rename fails; the other
+        # file must not appear, and an older PGM must survive unchanged
+        (tmp_path / f"p.{blocked}").mkdir()
+        if blocked == "csv":
+            (tmp_path / "p.pgm").write_bytes(b"old picture")
+        before = sorted(p.name for p in tmp_path.iterdir())
+        code = cli.main(["heatmap", "--grid", "16", "--iter", "1",
+                         "--out", str(tmp_path / "p.pgm")])
+        assert code == 4
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        assert not any((tmp_path / f"p.{blocked}").iterdir())
+        if blocked == "csv":
+            assert (tmp_path / "p.pgm").read_bytes() == b"old picture"
+
     def test_jobs_start_no_process(self, tmp_path):
         assert not hasattr(cli, "ProcessPoolExecutor")
         assert (_heatmap_files(tmp_path, str(10 ** 9))
                 == _heatmap_files(tmp_path, "1"))
 
     def test_wrong_digit_rule_is_caught(self, monkeypatch):
-        # a step that always strips, never reduces, differs from the map
-        # inside the 16-by-16 subgrid that every call recomputes
-        step = cli._digit_step
+        # a step that always strips the first digit, never reduces,
+        # differs from the map inside the 16-by-16 subgrid that every call
+        # recomputes
+        def strip_only(table, alpha, f, t):
+            return np.where(f > 0, table.digit[0, t], 0), table.adv[1, t]
 
-        def strip_only(alpha, x):
-            return step(np.zeros_like(alpha), x)
-
-        monkeypatch.setattr(cli, "_digit_step", strip_only, raising=True)
+        monkeypatch.setattr(cli._SuffixTable, "step", strip_only,
+                            raising=True)
         with pytest.raises(RuntimeError, match="digit-array heatmap"):
             cli.heatmap_values(64, 1)
+
+    @pytest.mark.parametrize("variant", ["minus", "plus"])
+    @pytest.mark.parametrize("n", [16, 17, 40])
+    def test_range_minimum_lcp_matches_brute_force(self, n, variant):
+        grid = cli._grid_digits(n, variant)
+        table = cli._SuffixTable(grid)
+        w = grid.shape[1]
+        padded = np.concatenate([grid, np.zeros_like(grid)], axis=1)
+        suffixes = np.array([padded[r, o:o + w]
+                             for r in range(n) for o in range(w)])
+        differ = suffixes[:, None, :] != suffixes[None, :, :]
+        brute = np.where(differ.any(axis=2), differ.argmax(axis=2), w)
+        pos = table.pos.ravel()
+        got = table.lcp(pos[:, None], pos[None, :])
+        assert np.array_equal(got, brute)
+        # positions follow the lexicographic order of the suffixes
+        ranked = suffixes[np.argsort(pos)]
+        assert all(tuple(a) <= tuple(b) for a, b in zip(ranked, ranked[1:]))
 
     @pytest.mark.parametrize("variant", ["minus", "plus"])
     @pytest.mark.parametrize("n, k", _ORACLE_GRIDS)
@@ -441,3 +475,20 @@ class TestHeatmap:
         minus = cli.heatmap_values(16, 2, "minus")
         plus = cli.heatmap_values(16, 2, "plus")
         assert not np.array_equal(minus, plus)
+
+
+class TestAtomicWrite:
+    def test_text_is_written_in_bounded_chunks(self, tmp_path):
+        # a 3 MB text must not be held a second time as one bytes object
+        text = "".join(f"{i},{i / 7:.17g}\r\n" for i in range(130_000))
+        assert len(text) > 3_000_000 and text.isascii()
+        path = tmp_path / "big.csv"
+        tracemalloc.start()
+        try:
+            cli._atomic_write((str(path), text))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.read_bytes() == text.encode()
+        assert peak < len(text) // 8
+        assert [p.name for p in tmp_path.iterdir()] == ["big.csv"]

@@ -4,7 +4,7 @@
 CSV that `cfdyn heatmap` writes at the default 256 grid for k = 1 and
 k = 3 (minus variant) and at grid 64, k = 2 in the plus variant, where
 boundary hits make the two digit conventions differ.  Any change to the
-digit-array map, the pixel scaling or the CSV text that moves a single
+heatmap engine, the pixel scaling or the CSV text that moves a single
 byte fails here.
 
 Regenerate (only when a change is meant to move these bytes) with
