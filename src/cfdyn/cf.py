@@ -500,12 +500,8 @@ def same_digits(a: ContinuedFraction, b: ContinuedFraction) -> bool:
     """
     if not a.is_truncated and not b.is_truncated:
         return a == b
-    da, db = a.digits(), b.digits()
-    for _ in range(len(a.head) + len(b.head) + 2):
-        va = next(da, None)
-        vb = next(db, None)
-        if va is None or vb is None:
-            raise TruncationExhausted("streams agree on all settled digits")
+    cap = len(a.head) + len(b.head) + 2
+    for va, vb in zip(islice(a.digits(), cap), b.digits()):
         if va != vb:
             return False
     raise TruncationExhausted("streams agree on all settled digits")
@@ -528,13 +524,8 @@ def agrees_on_settled(a: ContinuedFraction, b: ContinuedFraction) -> int:
     decision horizon for eventual-periodic equality.
     """
     cap = _decision_horizon(a, len(b.head), len(b.period))
-    da, db = a.digits(), b.digits()
     count = 0
-    while count < cap:
-        va = next(da, None)
-        vb = next(db, None)
-        if va is None or vb is None:
-            return count
+    for va, vb in zip(islice(a.digits(), cap), b.digits()):
         if va != vb:
             raise DomainError(f"digit {count + 1} differs: {va} vs {vb}")
         count += 1
@@ -594,6 +585,16 @@ def cf_complement(x: ContinuedFraction) -> ContinuedFraction:
 # ---------------------------------------------------------------------------
 
 
+def _qmark_numerator(digits, num: int = 0, sign: int = 1) -> tuple[int, int]:
+    """Feed digits into ?'s partial sum: num / 2**(digits fed so far) is
+    half the sum and sign that of its next term; one shift and add per
+    digit.  minkowski_q and qmark_pushforward share it."""
+    for a in digits:
+        num = (num << a) + sign
+        sign = -sign
+    return num, sign
+
+
 def minkowski_q(x: ContinuedFraction) -> Fraction:
     """Exact question-mark value of a rational or periodic expansion.
 
@@ -602,25 +603,19 @@ def minkowski_q(x: ContinuedFraction) -> Fraction:
     of which expansion variant of a rational is supplied.
 
     The partial sums are kept as integer numerators over 2**(a_1 + ... +
-    a_j), one shift and add per digit, and one Fraction is built at the
-    end.  With N_h / 2**E the head's sum and N / 2**(E + S) the sum
-    through one cycle of length L and digit sum S, the geometric series
-    over the cycles gives (N - (-1)**L * N_h) / (2**E * (2**S - (-1)**L)).
+    a_j) by _qmark_numerator, and one Fraction is built at the end.  With
+    N_h / 2**E the head's sum and N / 2**(E + S) the sum through one cycle
+    of length L and digit sum S, the geometric series over the cycles
+    gives (N - (-1)**L * N_h) / (2**E * (2**S - (-1)**L)).
     """
     if x.is_truncated:
         raise TruncationExhausted("question-mark needs the full expansion")
-    num = 0
-    sign = 1
-    for a in x.head:
-        num = (num << a) + sign
-        sign = -sign
+    num, sign = _qmark_numerator(x.head)
     expo = sum(x.head)
     if not x.period:
         return Fraction(2 * num, 1 << expo)
     head_num = num
-    for b in x.period:
-        num = (num << b) + sign
-        sign = -sign
+    num, _ = _qmark_numerator(x.period, num, sign)
     turn = (-1) ** len(x.period)
     return Fraction(2 * (num - turn * head_num),
                     (1 << expo) * ((1 << sum(x.period)) - turn))

@@ -347,31 +347,20 @@ def fibonacci_fixed_point(k: int) -> ContinuedFraction:
 # ---------------------------------------------------------------------------
 
 
-class _RewriteEngine:
-    """Token transducer behind the flip involution.
-
-    Digit n emits the block (1 repeated n-2 times, then 2); the very
-    first digit uses n-1 ones.  A block with a negative one-count merges
-    into the pending token instead, growing it by one.  Tokens before
-    the pending one are settled and never change afterwards."""
-
-    def __init__(self) -> None:
-        self.settled: list[int] = []
-        self.pending: int | None = None
-        self.first = True
-
-    def feed(self, n: int) -> None:
-        ones = n - 1 if self.first else n - 2
-        self.first = False
-        if ones < 0:
-            # only reachable with a pending token: the first block never
-            # has a negative one-count
-            self.pending += 1
-            return
-        if self.pending is not None:
-            self.settled.append(self.pending)
-        self.settled.extend([1] * ones)
-        self.pending = 2
+def _rewrite(digits, out: list, pending: int) -> int:
+    """The flip involution's token rule, a run-length transducer: a digit
+    n >= 2 settles the pending token, emits n - 2 ones and leaves a pending
+    2; a 1 grows the pending token.  Settled tokens are appended to out and
+    the pending one is returned.  It starts at 1, so the very first digit n
+    emits n - 1 ones (a first 1 emits none)."""
+    for n in digits:
+        if n == 1:
+            pending += 1
+        else:
+            out.append(pending)
+            out += [1] * (n - 2)
+            pending = 2
+    return pending
 
 
 def jimm(x: ContinuedFraction) -> ContinuedFraction:
@@ -380,32 +369,24 @@ def jimm(x: ContinuedFraction) -> ContinuedFraction:
     Rationals land on expansions with an all-ones tail; expansions with
     an all-ones tail land back on rationals (the pending token grows
     without bound and falls off the end); other periodic expansions stay
-    periodic.  Truncated input propagates its settled prefix."""
-    eng = _RewriteEngine()
+    periodic.  Truncated input propagates its settled prefix.  Only the
+    last case needs the canonicalising constructor: a period (1,) follows
+    a token >= 2."""
+    out = []
+    pending = _rewrite(x.head, out, 1)
     if x.is_truncated:
-        for a in x.head:
-            eng.feed(a)
-        return ContinuedFraction(tuple(eng.settled), (), False)
+        return _bare(tuple(out), (), False)
     if x.is_rational:
-        for a in x.head:
-            eng.feed(a)
-        tokens = eng.settled + ([eng.pending] if eng.pending is not None else [])
-        return ContinuedFraction(tuple(tokens), (1,))
+        if pending > 1:  # the zero expansion leaves no token
+            out.append(pending)
+        return _bare(tuple(out), (1,))
     if x.period == (1,):
-        for a in x.head:
-            eng.feed(a)
-        return ContinuedFraction(tuple(eng.settled))
+        return _bare(tuple(out))
     # generic periodic input: after one full cycle the pending token at
     # the cycle boundary is already in its steady state, so the tokens
     # settled during the second cycle are one full output period
-    for a in x.head:
-        eng.feed(a)
-    for a in x.period:
-        eng.feed(a)
-    s1, p1 = len(eng.settled), eng.pending
-    for a in x.period:
-        eng.feed(a)
-    s2, p2 = len(eng.settled), eng.pending
-    if p1 != p2:
+    first = _rewrite(x.period, out, pending)
+    start = len(out)
+    if _rewrite(x.period, out, first) != first:
         raise ConvergenceError("rewrite cycle failed to stabilise")
-    return ContinuedFraction(tuple(eng.settled[:s1]), tuple(eng.settled[s1:s2]))
+    return ContinuedFraction(tuple(out[:start]), tuple(out[start:]))

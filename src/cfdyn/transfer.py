@@ -22,12 +22,11 @@ import numpy as np
 from .cf import (
     INF,
     ContinuedFraction,
-    MobiusMap,
     ONE,
     ZERO,
     _convergent_rows,
-    cf_from_rational,
-    minkowski_q,
+    _euclid_quotients,
+    _qmark_numerator,
 )
 from .errors import ConvergenceError, DomainError, TruncationExhausted
 from .series import SeriesValue, _fib_bound, hurwitz_sum, power_tail
@@ -69,12 +68,6 @@ class _Level:
     qq: int
     pk: Optional[int]  # depth-k convergents; None past a finite expansion
     qk: Optional[int]
-
-    def interior_map(self, i: int) -> MobiusMap:
-        return MobiusMap(self.p, self.p * i + self.pp, self.q, self.q * i + self.qq)
-
-    def boundary_map(self) -> MobiusMap:
-        return MobiusMap(self.pk, self.p, self.qk, self.q)
 
 
 @dataclass(frozen=True, eq=False)
@@ -646,36 +639,62 @@ def hurwitz_image(kind: str, s: float, y: float) -> SeriesValue:
 # pushforward of the singular law
 
 
+def _qmark_dyadic(num: int, den: int) -> tuple[int, int]:
+    """?(num/den) as (N, E) with ?(num/den) = N / 2**E, 0 <= num <= den:
+    Euclid's quotients are the expansion, whatever gcd(num, den) is."""
+    digits = _euclid_quotients(den, num)
+    return _qmark_numerator(digits)[0] << 1, sum(digits)
+
+
 def qmark_pushforward(alpha: ContinuedFraction, y) -> SeriesValue:
     """Distribution function of the branch-image law at y, accumulated as
     exact question-mark masses of branch image intervals.
 
     Returns exact Fractions: the partial sum and the mass of the branches
-    not enumerated (the two add up to the exact law when y = 1)."""
+    not enumerated (the two add up to the exact law when y = 1).
+
+    With y = yn/yd, member i of the level (p, pp; q, qq) sends y to (p u
+    + pp yd)/(q u + qq yd), u = yn + i yd, over [e_i, e_(i+1)], e_i = (p i
+    + pp)/(q i + qq), each endpoint taken once; the boundary branch sends
+    y to (pk yn + p yd)/(qk yn + q yd) over [p/q, (pk + p)/(qk + q)].  A
+    map of determinant +-1 (checked per level) moves ? in the direction
+    of its sign, so the masses are signed sums of dyadic ? values, kept
+    as integer numerators over one power of two."""
     yq = Fraction(y)
     if not 0 <= yq <= 1:
         raise DomainError("y must lie in [0, 1]")
+    yn, yd = yq.numerator, yq.denominator
     data = _levels(alpha)
-
-    def qmark_of(fr: Fraction) -> Fraction:
-        return minkowski_q(cf_from_rational(fr))
-
-    value = covered = Fraction(0)
+    value = covered = top = 0
     # exactness budget: 64 levels and 64 members per family
     for lv, cap, _ in _walk(data.levels[:64], 64):
-        members = [lv.interior_map(i) for i in range(1, cap + 1)]
+        p, pp, q, qq, pk, qk = lv.p, lv.pp, lv.q, lv.qq, lv.pk, lv.qk
+        # a rational's last level has no boundary branch
+        det, bdet = p * qq - pp * q, (1 if pk is None else pk * q - p * qk)
+        if abs(det) != 1 or abs(bdet) != 1:
+            raise DomainError(f"Mobius maps need determinant +-1, got {det}, {bdet}")
+        # (sign, endpoint pairs, image pairs) of the family and the boundary
+        groups = [(det, [(p * i + pp, q * i + qq) for i in range(1, cap + 2)],
+                   [(p * u + pp * yd, q * u + qq * yd)
+                    for u in range(yn + yd, yn + (cap + 1) * yd, yd)])] if cap else []
         if lv.digit != INF:
-            members.append(lv.boundary_map())
-        for mb in members:
-            at0 = qmark_of(Fraction(mb.b, mb.d))
-            at1 = qmark_of(Fraction(mb.a + mb.b, mb.c + mb.d))
-            aty = qmark_of(mb.apply(yq))
-            value += abs(aty - at0)
-            covered += abs(at1 - at0)
-        if 1 - covered < Fraction(1, 10 ** 15):
+            groups.append((bdet, [(p, q), (pk + p, qk + q)],
+                           [(pk * yn + p * yd, qk * yn + q * yd)]))
+        for sign, ends, images in groups:
+            ends = [_qmark_dyadic(*pair) for pair in ends]
+            images = [_qmark_dyadic(*pair) for pair in images]
+            level = max(e for _, e in ends + images)
+            if level > top:
+                value, covered = value << level - top, covered << level - top
+                top = level
+            ends = [n << top - e for n, e in ends]
+            value += sign * (sum(n << top - e for n, e in images) - sum(ends[:-1]))
+            covered += sign * (ends[-1] - ends[0])
+        if ((1 << top) - covered) * 10 ** 15 < 1 << top:
             break
     else:
-        if data.exhausted and float(1 - covered) > TAIL_TOL:
+        if data.exhausted and ((1 << top) - covered) / (1 << top) > TAIL_TOL:
             raise TruncationExhausted(
                 "parameter expansion has too few settled digits to cover the law")
-    return SeriesValue(value, 1 - covered)
+    return SeriesValue(Fraction(value, 1 << top),
+                       Fraction((1 << top) - covered, 1 << top))

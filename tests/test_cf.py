@@ -505,6 +505,62 @@ class TestDigitSurgery:
         assert replace_first_digit(CF((), (2, 3)), 5) == CF((5,), (3, 2))
 
 
+def _shares_a_prefix(draw_kind):
+    """A digit expansion of any kind: its head is a shared prefix plus
+    its own digits, so two draws often agree for a while."""
+    def build(kind, head, period):
+        if kind == "rational":
+            return CF(tuple(head))
+        if kind == "truncated":
+            return CF(tuple(head), exact=False)
+        return CF(tuple(head), tuple(period))
+    return st.builds(build, draw_kind, st.lists(st.integers(1, 3), max_size=6),
+                     st.lists(st.integers(1, 3), min_size=1, max_size=3))
+
+
+def reference_agrees(a, b):
+    """agrees_on_settled by one digit of each stream at a time: the count
+    of equal leading digits up to the first truncated end or the
+    decision horizon, or the DomainError text of the first mismatch."""
+    cap = len(a.head) + len(b.head) + 2
+    if a.period or b.period:
+        cap += 2 * math.lcm(max(len(a.period), 1), max(len(b.period), 1))
+    da, db = a.digits(), b.digits()
+    count = 0
+    while count < cap:
+        va, vb = next(da, None), next(db, None)
+        if va is None or vb is None:
+            return count
+        if va != vb:
+            return f"digit {count + 1} differs: {va} vs {vb}"
+        count += 1
+    return count
+
+
+class TestAgreesOnSettled:
+    kinds = st.sampled_from(["rational", "truncated", "periodic"])
+
+    @given(st.lists(st.integers(1, 3), max_size=8), _shares_a_prefix(kinds),
+           _shares_a_prefix(kinds))
+    def test_matches_digit_by_digit_reference(self, prefix, a, b):
+        a = CF(tuple(prefix) + a.head, a.period, a.exact)
+        b = CF(tuple(prefix) + b.head, b.period, b.exact)
+        want = reference_agrees(a, b)
+        if isinstance(want, str):
+            with pytest.raises(DomainError) as err:
+                agrees_on_settled(a, b)
+            assert str(err.value) == want
+        else:
+            assert agrees_on_settled(a, b) == want
+
+    def test_count_stops_at_the_cap(self):
+        # equal exact streams agree everywhere: the count is the horizon,
+        # both heads plus 2, plus twice the periods' lcm
+        assert agrees_on_settled(GOLDEN, CF((1, 1), (1,))) == 2 + 2 * 1
+        assert agrees_on_settled(CF((2, 3)), CF((2, 3))) == 2 + 2 + 2
+        assert agrees_on_settled(CF((), (1, 2)), CF((), (1, 2))) == 2 + 2 * 2
+
+
 class TestSameDigits:
     def test_exact(self):
         assert same_digits(GOLDEN, CF((1, 1), (1,)))

@@ -57,6 +57,19 @@ truncated = st.builds(
     lambda h: CF(tuple(h), exact=False),
     st.lists(st.integers(1, 5), min_size=0, max_size=6),
 )
+# every kind jimm tells apart: rationals in both variants, all-ones tails,
+# other periodic expansions, and truncated ones, with digits up to 12
+long_heads = st.lists(st.integers(1, 12), max_size=40)
+exact_points = st.one_of(
+    st.builds(lambda fr, v: cf_from_rational(fr, variant=v), fractions_01,
+              variants),
+    st.builds(lambda h: CF(tuple(h)), long_heads),
+    st.builds(lambda h: CF(tuple(h), (1,)), long_heads),
+    st.builds(lambda h, p: CF(tuple(h), tuple(p)), long_heads,
+              st.lists(st.integers(1, 12), min_size=1, max_size=6)),
+)
+any_points = st.one_of(exact_points,
+                       st.builds(lambda h: CF(tuple(h), exact=False), long_heads))
 
 
 def gauss_map(fr: Fraction, variant: str = "minus") -> Fraction:
@@ -253,7 +266,58 @@ class TestOrbit:
         assert rec.states[-1] == ZERO
 
 
+def reference_jimm(x):
+    """The flip involution by the per-digit token rule, fed one digit at a
+    time: digit n emits n - 2 ones and then a pending 2, the very first
+    digit n - 1 ones; a block with a negative one-count grows the pending
+    token instead.  A rational keeps its pending token before a (1)
+    tail, an all-ones tail drops it, and a periodic input is fed its head
+    and two cycles, the second cycle's tokens being the period."""
+    settled, pending = [], None
+
+    def feed(digits):
+        nonlocal pending
+        for n in digits:
+            ones = n - 1 if pending is None else n - 2
+            if ones < 0:
+                pending += 1
+                continue
+            if pending is not None:
+                settled.append(pending)
+            settled.extend([1] * ones)
+            pending = 2
+
+    feed(x.head)
+    if x.is_truncated:
+        return CF(tuple(settled), (), False)
+    if x.is_rational:
+        return CF(tuple(settled) + ((pending,) if pending else ()), (1,))
+    if x.period == (1,):
+        return CF(tuple(settled))
+    feed(x.period)
+    start, first = len(settled), pending
+    feed(x.period)
+    assert pending == first
+    return CF(tuple(settled[:start]), tuple(settled[start:]))
+
+
 class TestJimm:
+    @given(any_points)
+    @example(ZERO)
+    @example(GOLDEN)
+    @example(CF((1,), exact=False))
+    @example(CF((), (1, 2)))
+    def test_matches_reference_transducer(self, x):
+        got = jimm(x)
+        assert got == reference_jimm(x)
+        # the result is canonical: rebuilding it through the validating
+        # constructor changes nothing
+        assert got == CF(got.head, got.period, got.exact)
+
+    @given(exact_points)
+    def test_involution_on_exact_points(self, x):
+        assert jimm(jimm(x)) == x
+
     def test_goldens(self):
         assert jimm(ZERO) == GOLDEN
         assert jimm(GOLDEN) == ZERO

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from cfdyn.cf import (
     ContinuedFraction,
+    MobiusMap,
     ONE,
     ZERO,
     cf_from_rational,
@@ -30,18 +31,44 @@ PELL = ContinuedFraction((), (2,))
 LOG2 = math.log(2.0)
 
 
+def level_branches(lv, m):
+    """(kind, map) of one level's first m members, y -> (p (y + i) +
+    pp)/(q (y + i) + qq), then its boundary branch y -> (pk y + p)/(qk y +
+    q) when its digit is finite."""
+    rows = [("interior", MobiusMap(lv.p, lv.p * i + lv.pp, lv.q, lv.q * i + lv.qq))
+            for i in range(1, m + 1)]
+    if lv.digit != math.inf:
+        rows.append(("boundary", MobiusMap(lv.pk, lv.p, lv.qk, lv.q)))
+    return rows
+
+
 def walk_branches(alpha, depth=8, inner=40):
     """(kind, depth, map) rows of the shared inverse-branch walk over the
     first `depth` levels with `inner` members per family, each level's
     interior members before its boundary branch: the branch order
     apply_transfer and qmark_pushforward sum in."""
-    rows = []
-    for lv, m, _ in tr._walk(tr._levels(alpha).levels[:depth], inner):
-        rows += [("interior", lv.depth, lv.interior_map(i))
-                 for i in range(1, m + 1)]
-        if lv.digit != math.inf:
-            rows.append(("boundary", lv.depth, lv.boundary_map()))
-    return rows
+    return [(kind, lv.depth, b)
+            for lv, m, _ in tr._walk(tr._levels(alpha).levels[:depth], inner)
+            for kind, b in level_branches(lv, m)]
+
+
+def reference_pushforward(alpha, y):
+    """qmark_pushforward in Fractions, one branch map at a time: the
+    question-mark masses |?(b(y)) - ?(b(0))| and |?(b(1)) - ?(b(0))|
+    through minkowski_q, over 64 levels of 64 members, stopping after
+    the first level where less than 1e-15 is left uncovered."""
+    def qmark(fr):
+        return minkowski_q(cf_from_rational(fr))
+
+    value = covered = Fraction(0)
+    for lv, m, _ in tr._walk(tr._levels(alpha).levels[:64], 64):
+        for _, b in level_branches(lv, m):
+            at0 = qmark(b.apply(0))
+            value += abs(qmark(b.apply(y)) - at0)
+            covered += abs(qmark(b.apply(1)) - at0)
+        if 1 - covered < Fraction(1, 10 ** 15):
+            break
+    return value, 1 - covered
 
 
 def periodic_level_sums(period, s, psi, y, depth=200):
@@ -795,3 +822,19 @@ class TestQmarkPushforward:
     def test_rejects_point_outside_unit_interval(self):
         with pytest.raises(DomainError):
             tr.qmark_pushforward(ZERO, Fraction(3, 2))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.fractions(0, 1, max_denominator=60),
+           st.sampled_from([ZERO, GOLDEN, ONE, PELL, tr.HALF_MINUS, tr.HALF_PLUS,
+                            ContinuedFraction((3, 2)), ContinuedFraction((), (1, 2))]))
+    def test_matches_branch_by_branch_fractions(self, y, alpha):
+        got = tr.qmark_pushforward(alpha, y)
+        assert (got.value, got.tail) == reference_pushforward(alpha, y)
+
+    def test_suite_points_span_the_unit_interval(self):
+        # evenly spaced through the 323 rationals with denominator <= 32,
+        # not the 200 smallest of them
+        pts = verify._sorted_rationals(200)
+        assert len(pts) == 200
+        assert all(a < b for a, b in zip(pts, pts[1:]))
+        assert pts[0] < 0.05 and pts[-1] > 0.95
