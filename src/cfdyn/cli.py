@@ -333,27 +333,22 @@ def heatmap_csv(values: np.ndarray, n: int) -> str:
     and, within one alpha, x varies fastest.  Coordinates are the
     midpoints (2i+1)/2n and every number is printed as `.17g`; lines end
     in CRLF, the last one too.  A grid holds far fewer distinct (x, value)
-    pairs than cells (2990 of 65 536 at n = 256, k = 1): np.unique codes
-    them as j*U + value index (column j, U values), each "x,value" text is
-    formatted once, and a row is one join on CRLF and its "alpha," prefix.
-    np.unique keys values on float equality, under which -0.0 and 0.0 are
-    one; the map's values are p/q with p >= 0 and never -0.0."""
+    pairs than cells (2990 of 65 536 at n = 256, k = 1), so each column
+    keeps a dict from value to its "x,value" text, formatted once; a row
+    is its "alpha," prefix and one join of its texts on CRLF + prefix.
+    Values are keyed on float equality, under which -0.0 and 0.0 are one
+    key; the map's values are p/q with p >= 0 and never -0.0."""
     if values.shape != (n, n):
         raise DomainError(f"values of shape {values.shape} are not a "
                           f"{n}-by-{n} grid")
     coords = [f"{(2 * i + 1) / (2 * n):.17g}" for i in range(n)]
-    uniq, index = np.unique(values, return_inverse=True)
-    count = len(uniq)
-    codes, cells = np.unique(np.arange(n) * count + index.reshape(n, n),
-                             return_inverse=True)
-    text = [f"{v:.17g}" for v in uniq.tolist()]
-    pieces = [f"{coords[c // count]},{text[c % count]}" for c in codes.tolist()]
-    rows = ["alpha,x,value"]
-    for a, row in zip(coords, cells.reshape(n, n).tolist()):
-        rows.append(a + "," + ("\r\n" + a + ",").join(map(pieces.__getitem__, row)))
-    # an empty last row ends the text in CRLF without copying all of it
-    rows.append("")
-    return "\r\n".join(rows)
+    columns = [{} for _ in range(n)]
+    parts = ["alpha,x,value\r\n"]
+    for a, row in zip(coords, values):
+        parts += (a + ",", ("\r\n" + a + ",").join([
+            text.get(v) or text.setdefault(v, f"{x},{v:.17g}")
+            for text, x, v in zip(columns, coords, row.tolist())]), "\r\n")
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------
