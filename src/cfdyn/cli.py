@@ -334,20 +334,25 @@ def heatmap_csv(values: np.ndarray, n: int) -> str:
     midpoints (2i+1)/2n and every number is printed as `.17g`; lines end
     in CRLF, the last one too.  A grid holds far fewer distinct (x, value)
     pairs than cells (2990 of 65 536 at n = 256, k = 1), so each column
-    keeps a dict from value to its "x,value" text, formatted once; a row
-    is its "alpha," prefix and one join of its texts on CRLF + prefix.
-    Values are keyed on float equality, under which -0.0 and 0.0 are one
-    key; the map's values are p/q with p >= 0 and never -0.0."""
+    keeps a dict from value to its "x,value" text, formatted once, and
+    one join over a list of every cell's shared pieces builds the text
+    with no string per row.  Values are keyed on float equality, under
+    which -0.0 and 0.0 are one key; the map's values are p/q with p >= 0
+    and never -0.0."""
     if values.shape != (n, n):
         raise DomainError(f"values of shape {values.shape} are not a "
                           f"{n}-by-{n} grid")
     coords = [f"{(2 * i + 1) / (2 * n):.17g}" for i in range(n)]
     columns = [{} for _ in range(n)]
-    parts = ["alpha,x,value\r\n"]
-    for a, row in zip(coords, values):
-        parts += (a + ",", ("\r\n" + a + ",").join([
+    # the header, then each cell's "alpha," prefix, its text and CRLF
+    parts = ["\r\n"] * (3 * n * n + 1)
+    parts[0] = "alpha,x,value\r\n"
+    for i, (a, row) in enumerate(zip(coords, values)):
+        start = 3 * n * i + 1
+        parts[start:start + 3 * n:3] = [a + ","] * n
+        parts[start + 1:start + 3 * n:3] = [
             text.get(v) or text.setdefault(v, f"{x},{v:.17g}")
-            for text, x, v in zip(columns, coords, row.tolist())]), "\r\n")
+            for text, x, v in zip(columns, coords, row.tolist())]
     return "".join(parts)
 
 
