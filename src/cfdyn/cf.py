@@ -20,18 +20,23 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Iterator, Union
+from typing import Iterator
 
 from cfdyn.errors import (
     DomainError,
     NonTerminatingError,
     PoleError,
+    PrecisionBudgetError,
     TruncationExhausted,
 )
 
 INF = math.inf
 
-Number = Union[int, float, Fraction]
+# the most bits ? may take: the digit sum of an expansion is the width of
+# its ? numerator.  Tests and fixtures reach 500, `cfdyn verify` 71, and
+# the benchmark's rationals with denominators up to 2**20 at most 2**20
+# (a digit sum never exceeds the denominator)
+QMARK_BITS = 1 << 22
 
 
 # ---------------------------------------------------------------------------
@@ -354,39 +359,27 @@ def cf_to_rational(x: ContinuedFraction) -> Fraction:
     return v
 
 
-def _convergent_rows(digit_iter, depth: int):
-    """(p_k, p_{k-1}, q_k, q_{k-1}) for k = 1..depth, stopping at a
-    rational's end or a truncated stream's settled horizon."""
+def _convergent_rows(digit_iter, depth: int) -> Iterator[tuple[int, int, int, int]]:
+    """(p_k, p_{k-1}, q_k, q_{k-1}) for k = 1..depth, one at a time,
+    stopping at a rational's end or a truncated stream's settled horizon."""
     pm1, qm1 = 1, 0
     p, q = 0, 1
-    rows = []
     for a in islice(digit_iter, depth):
         if not isinstance(a, int):  # INF tail of a rational
-            break
+            return
         p, pm1 = a * p + pm1, p
         q, qm1 = a * q + qm1, q
-        rows.append((p, pm1, q, qm1))
-    return rows
+        yield p, pm1, q, qm1
 
 
-def _last_convergent(digit_iter, depth: int,
-                     row: tuple[int, int, int, int] = (0, 1, 1, 0)
-                     ) -> tuple[int, int, int, int, int]:
-    """(count, p, p_prev, q, q_prev) after feeding at most `depth` digits
-    of the stream into the convergent row (p, p_prev, q, q_prev), with the
-    stopping rule of _convergent_rows; count is the number of digits fed.
-    The default row is the empty prefix, so the result is the last of the
-    first `depth` convergents, and (0, 0, 1, 1, 0) when the stream yields
-    no digit."""
-    p, pm1, q, qm1 = row
-    count = 0
-    for a in islice(digit_iter, depth):
-        if not isinstance(a, int):  # INF tail of a rational
-            break
-        p, pm1 = a * p + pm1, p
-        q, qm1 = a * q + qm1, q
-        count += 1
-    return count, p, pm1, q, qm1
+def _last_convergent(digit_iter, depth: int) -> tuple[int, int, int, int, int]:
+    """(count, p, p_prev, q, q_prev): the last of the first `depth` rows of
+    _convergent_rows and how many there are, (0, 0, 1, 1, 0) when the
+    stream yields no digit."""
+    count, row = 0, (0, 1, 1, 0)
+    for count, row in enumerate(_convergent_rows(digit_iter, depth), start=1):
+        pass
+    return (count, *row)
 
 
 def convergents(x: ContinuedFraction, depth: int = 40) -> list[MobiusMap]:
@@ -417,13 +410,12 @@ def periodic_value(x: ContinuedFraction) -> QuadraticSurd:
     """Exact value of an eventually periodic expansion."""
     if not x.is_periodic:
         raise DomainError("periodic_value needs a periodic expansion")
-    rows = _convergent_rows(iter(x.period), len(x.period))
-    pm, pm1, qm, qm1 = rows[-1]
+    _, pm, pm1, qm, qm1 = _last_convergent(x.period, len(x.period))
     # t = [0; cycle repeated]: the tail seen from the start of the cycle
     t = QuadraticSurd.positive_root(qm1, qm - pm1, -pm)
     if not x.head:
         return t
-    hp, hp1, hq, hq1 = _convergent_rows(iter(x.head), len(x.head))[-1]
+    _, hp, hp1, hq, hq1 = _last_convergent(x.head, len(x.head))
     # x = M_head(1/t); fold the inversion into the matrix
     return t.mobius(MobiusMap(hp1, hp, hq1, hq))
 
@@ -585,6 +577,15 @@ def cf_complement(x: ContinuedFraction) -> ContinuedFraction:
 # ---------------------------------------------------------------------------
 
 
+def _qmark_bits(bits: int) -> int:
+    """bits, the digit sum of an expansion ? is asked of, checked before
+    any shift: past QMARK_BITS it raises PrecisionBudgetError."""
+    if bits > QMARK_BITS:
+        raise PrecisionBudgetError(
+            f"question-mark needs {bits} bits, more than QMARK_BITS = {QMARK_BITS}")
+    return bits
+
+
 def _qmark_numerator(digits, num: int = 0, sign: int = 1) -> tuple[int, int]:
     """Feed digits into ?'s partial sum: num / 2**(digits fed so far) is
     half the sum and sign that of its next term; one shift and add per
@@ -606,12 +607,14 @@ def minkowski_q(x: ContinuedFraction) -> Fraction:
     a_j) by _qmark_numerator, and one Fraction is built at the end.  With
     N_h / 2**E the head's sum and N / 2**(E + S) the sum through one cycle
     of length L and digit sum S, the geometric series over the cycles
-    gives (N - (-1)**L * N_h) / (2**E * (2**S - (-1)**L)).
+    gives (N - (-1)**L * N_h) / (2**E * (2**S - (-1)**L)).  E + S past
+    QMARK_BITS raises PrecisionBudgetError.
     """
     if x.is_truncated:
         raise TruncationExhausted("question-mark needs the full expansion")
-    num, sign = _qmark_numerator(x.head)
     expo = sum(x.head)
+    _qmark_bits(expo + sum(x.period))
+    num, sign = _qmark_numerator(x.head)
     if not x.period:
         return Fraction(2 * num, 1 << expo)
     head_num = num

@@ -38,4 +38,6 @@ class ConvergenceError(RuntimeError):
 
 
 class PrecisionBudgetError(ValueError):
-    """A randomised draw was configured with too small a bit budget."""
+    """A fixed bit budget does not fit the request: a randomised draw
+    with too few bits, or a question-mark value wider than
+    cf.QMARK_BITS."""

@@ -15,7 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .cf import (
     ZERO,
     _convergent_rows,
     _euclid_quotients,
+    _qmark_bits,
     _qmark_numerator,
 )
 from .errors import ConvergenceError, DomainError, TruncationExhausted
@@ -40,9 +41,9 @@ HALF_PLUS = ContinuedFraction((1, 1))
 # in pointwise sums, INNER_MAX of an infinite family and a finite one in
 # full up to FINITE_MAX + 1 members, else its first FINITE_MAX (gkw_matrix
 # sums every member; the rest of a family is bracketed by quadratics,
-# certified for psi''' of one sign); and the stop of every depth walk: the
-# bound q_K^(-2s) (1 + zeta(2s, 1+y)) Phi(2s) on all branches past level K,
-# times sup|psi| for psi monotone, below TAIL_TOL
+# certified for psi''' of one sign); and the stop of every depth walk
+# (_reach): the bound q_K^(-2s) (1 + zeta(2s, 1+y)) Phi(2s) on all
+# branches past level K, times sup|psi| for psi monotone, below TAIL_TOL
 DEPTH_MAX = 200
 INNER_MAX = 2048
 FINITE_MAX = 200_000
@@ -55,12 +56,12 @@ TAIL_TOL = 1e-14
 
 @dataclass(frozen=True)
 class _Level:
-    """Convergent data of the parameter at one comparison depth.
+    """Convergent data of the parameter at one comparison depth, the
+    level's index in _LevelData.levels plus one.
 
     p/q rows follow the usual recurrence; ``digit`` is the parameter's
     digit at this depth, infinite when its expansion has ended."""
 
-    depth: int
     digit: float
     p: int    # numerator convergent, depth-1
     pp: int   # numerator convergent, depth-2
@@ -87,30 +88,35 @@ def _float(n) -> float:
 
 @functools.lru_cache(maxsize=256)
 def _levels(alpha: ContinuedFraction) -> _LevelData:
-    rows = _convergent_rows(alpha.digits(), DEPTH_MAX)
     # level k needs the rows of depths k-1 and k; depth 0 is (0, 1; 1, 0)
-    before = [(0, 1, 1, 0)] + rows
-    levels = [_Level(k, (qk - qq) // q, p, pp, q, qq, pk, qk)
-              for k, ((pk, _, qk, _), (p, pp, q, qq))
-              in enumerate(zip(rows, before), start=1)]
-    ended = len(rows) < DEPTH_MAX
+    rows = [(0, 1, 1, 0), *_convergent_rows(alpha.digits(), DEPTH_MAX)]
+    levels = [_Level((qk - qq) // q, p, pp, q, qq, pk, qk)
+              for (p, pp, q, qq), (pk, _, qk, _) in itertools.pairwise(rows)]
+    ended = len(levels) < DEPTH_MAX
     complete = ended and alpha.is_rational
     if complete:
-        levels.append(_Level(len(rows) + 1, INF, *before[-1], None, None))
+        levels.append(_Level(INF, *rows[-1], None, None))
     table = np.array([[_float(n) for n in (lv.p, lv.pp, lv.q, lv.qq, lv.pk, lv.qk)]
                       for lv in levels]).reshape(-1, 6)
     return _LevelData(tuple(levels), ended and not complete, table)
 
 
-def _walk(levels, inner_max: int) -> Iterator[tuple]:
-    """(level, m, lumped) in depth order.  A level's branches are its
-    interior family members 1..m, summed one by one, then its boundary
-    branch when the digit is finite; ``lumped`` says the family goes on
-    past m.  Callers break out of the walk by their own stop rules."""
+def _reach(levels, s: float, cap: float) -> tuple:
+    """(levels, weights q_k^(-2s), stopped) of the walk's reach: through a
+    rational's last level, or through the first level whose weight times
+    cap is below TAIL_TOL, the one depth stop of every walk.  Either ends
+    the walk with stopped true; else it takes every level given.  A
+    level's branches are its family members 1..digit-1, then its boundary
+    branch when the digit is finite."""
+    reached, weights = [], []
     for lv in levels:
-        count = lv.digit - 1  # inf stays inf
-        m = min(count, inner_max)
-        yield lv, m, count > m
+        reached.append(lv)
+        if lv.digit == INF:
+            return reached, weights, True
+        weights.append(lv.qk ** (-2.0 * s))
+        if weights[-1] * cap < TAIL_TOL:
+            return reached, weights, True
+    return reached, weights, False
 
 
 def _require_settled(data: _LevelData) -> None:
@@ -185,21 +191,6 @@ def _family_tail_terms(lv: _Level, y: float, m: int, f, sums) -> tuple:
     width = max(float(spread @ weight), 0.0)
     return (float(coeffs @ weight),
             width + float((np.abs(coeffs) + np.abs(spread)) @ werr))
-
-
-def _reach(levels, s: float, cap: float) -> tuple:
-    """(levels, weights q_k^(-2s)) of the walk's reach: through a
-    rational's last level, or through the first level whose weight times
-    cap is below TAIL_TOL."""
-    reached, weights = [], []
-    for lv in levels:
-        reached.append(lv)
-        if lv.digit == INF:
-            break
-        weights.append(lv.qk ** (-2.0 * s))
-        if weights[-1] * cap < TAIL_TOL:
-            break
-    return reached, weights
 
 
 def _explicit(count) -> int:
@@ -290,7 +281,7 @@ def apply_transfer(alpha: ContinuedFraction, s: float, psi: Callable,
     cap = _depth_weight(s, _zeta_cap(2.0 * s, 1.0 + y))
     # an infinite scale leaves the depth tail infinite: reach by the weight
     scale_cap = cap * sup if cap * sup < math.inf else cap
-    levels, weights = _reach(data.levels, s, scale_cap)
+    levels, weights, _ = _reach(data.levels, s, scale_cap)
     counts = [_explicit(lv.digit - 1) for lv in levels]
     offsets = list(itertools.accumulate(counts, initial=0))
     images, den, den0, families = _images(levels, data.table, counts, offsets, y)
@@ -305,9 +296,7 @@ def apply_transfer(alpha: ContinuedFraction, s: float, psi: Callable,
     stop = scale if scale < math.inf else _depth_weight(s, zeta)
 
     total = tail = depth_tail = 0.0
-    # the walk gives the level order; the member counts are _explicit's
-    for k, (lv, _, _) in enumerate(_walk(levels, INNER_MAX)):
-        m = counts[k]
+    for k, (lv, m) in enumerate(zip(levels, counts)):
         level_sum = float(np.sum(terms[offsets[k]:offsets[k + 1]])) if m else 0.0
         if m < lv.digit - 1:
             correction, bound = next(family_terms)
@@ -337,8 +326,8 @@ def gkw_matrix(alpha: ContinuedFraction, s: float, n: int) -> np.ndarray:
     image's weight split linearly between its two neighbouring nodes.
     A family's first _HEAD members are split one by one; the rest, to its
     end or to infinity, are grouped by the cell their images fall in.  The
-    walk stops once q_K^(-2s) times the _depth_weight at y = 0, which bounds
-    what every row drops as hats are <= 1, is below TAIL_TOL."""
+    walk is _reach's with the _depth_weight at y = 0 as cap, which bounds
+    what every row drops as hats are <= 1."""
     if n < 16:
         raise DomainError("grid size must be >= 16")
     if not 0.5 < s < math.inf:
@@ -359,7 +348,8 @@ def gkw_matrix(alpha: ContinuedFraction, s: float, n: int) -> np.ndarray:
         frac = t - idx
         split(idx, weights * (1.0 - frac), weights * frac)
 
-    for lv in data.levels:
+    levels, _, stopped = _reach(data.levels, s, deeper)
+    for lv in levels:
         count = lv.digit - 1  # inf stays inf
         if count >= 1:
             z = ys + np.arange(1.0, min(count, _HEAD) + 1)
@@ -388,9 +378,7 @@ def gkw_matrix(alpha: ContinuedFraction, s: float, n: int) -> np.ndarray:
         if lv.digit != INF:
             den = lv.qk * ys + lv.q
             scatter(den ** (-2.0 * s), (lv.pk * ys + lv.p) / den)
-            if lv.qk ** (-2.0 * s) * deeper < TAIL_TOL:
-                break
-    else:
+    if not stopped:
         _require_settled(data)
     return np.bincount(np.concatenate(flat), np.concatenate(mass),
                        minlength=(n + 1) ** 2).reshape(n + 1, n + 1)
@@ -641,9 +629,11 @@ def hurwitz_image(kind: str, s: float, y: float) -> SeriesValue:
 
 def _qmark_dyadic(num: int, den: int) -> tuple[int, int]:
     """?(num/den) as (N, E) with ?(num/den) = N / 2**E, 0 <= num <= den:
-    Euclid's quotients are the expansion, whatever gcd(num, den) is."""
+    Euclid's quotients are the expansion, whatever gcd(num, den) is.  E
+    past QMARK_BITS raises PrecisionBudgetError."""
     digits = _euclid_quotients(den, num)
-    return _qmark_numerator(digits)[0] << 1, sum(digits)
+    bits = _qmark_bits(sum(digits))
+    return _qmark_numerator(digits)[0] << 1, bits
 
 
 def qmark_pushforward(alpha: ContinuedFraction, y) -> SeriesValue:
@@ -667,7 +657,8 @@ def qmark_pushforward(alpha: ContinuedFraction, y) -> SeriesValue:
     data = _levels(alpha)
     value = covered = top = 0
     # exactness budget: 64 levels and 64 members per family
-    for lv, cap, _ in _walk(data.levels[:64], 64):
+    for lv in data.levels[:64]:
+        cap = min(lv.digit - 1, 64)  # inf - 1 stays inf
         p, pp, q, qq, pk, qk = lv.p, lv.pp, lv.q, lv.qq, lv.pk, lv.qk
         # a rational's last level has no boundary branch
         det, bdet = p * qq - pp * q, (1 if pk is None else pk * q - p * qk)

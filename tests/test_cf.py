@@ -15,6 +15,7 @@ from hypothesis import given, strategies as st
 from cfdyn.cf import (
     INF,
     ONE,
+    QMARK_BITS,
     ZERO,
     ContinuedFraction,
     MobiusMap,
@@ -36,7 +37,12 @@ from cfdyn.cf import (
     same_digits,
     to_binary_string,
 )
-from cfdyn.errors import DomainError, PoleError, TruncationExhausted
+from cfdyn.errors import (
+    DomainError,
+    PoleError,
+    PrecisionBudgetError,
+    TruncationExhausted,
+)
 
 CF = ContinuedFraction
 
@@ -391,6 +397,19 @@ class TestMinkowski:
     def test_truncated_rejected(self):
         with pytest.raises(TruncationExhausted):
             minkowski_q(CF((2,), exact=False))
+
+    def test_digit_sum_past_the_budget_raises(self):
+        # the float 0.3 is 5404319552844595/2**54, whose ? would need a
+        # shift by its fourth digit's 9e14 bits; a cycle counts too
+        x = cf_from_rational(0.3)
+        assert x.head == (3, 2, 1, 900719925474098, 2)
+        with pytest.raises(PrecisionBudgetError):
+            minkowski_q(x)
+        with pytest.raises(PrecisionBudgetError):
+            minkowski_q(CF((1,), (QMARK_BITS,)))
+        # a digit sum of exactly the budget is still computed
+        assert (minkowski_q(cf_from_rational(1, QMARK_BITS))
+                == Fraction(2, 1 << QMARK_BITS))
 
     @given(st.one_of(
         st.builds(cf_from_rational, fractions_01,

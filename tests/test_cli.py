@@ -112,6 +112,14 @@ class TestQmarkCommand:
         assert label == "uncovered"
         assert abs(float(Fraction(value)) - 0.5) <= float(Fraction(tail))
 
+    @pytest.mark.parametrize("extra", [[], ["--alpha", "0"]])
+    def test_point_past_the_budget_is_a_domain_error(self, capsys, extra):
+        # the float 0.3 as a fraction: its digit 900719925474098 would need
+        # that many bits
+        argv = ["qmark", "--x", "5404319552844595/18014398509481984", *extra]
+        assert cli.main(argv) == 2
+        assert "QMARK_BITS" in capsys.readouterr().err
+
 
 class TestJimmCommand:
     def test_periodic_rewrite(self, capsys):

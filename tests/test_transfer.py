@@ -20,7 +20,12 @@ from cfdyn.cf import (
     cf_to_rational,
     minkowski_q,
 )
-from cfdyn.errors import ConvergenceError, DomainError, TruncationExhausted
+from cfdyn.errors import (
+    ConvergenceError,
+    DomainError,
+    PrecisionBudgetError,
+    TruncationExhausted,
+)
 from cfdyn.maps import t_alpha_step
 from cfdyn.series import hurwitz_sum, power_tail
 from cfdyn import transfer as tr
@@ -43,13 +48,36 @@ def level_branches(lv, m):
 
 
 def walk_branches(alpha, depth=8, inner=40):
-    """(kind, depth, map) rows of the shared inverse-branch walk over the
-    first `depth` levels with `inner` members per family, each level's
-    interior members before its boundary branch: the branch order
-    apply_transfer and qmark_pushforward sum in."""
-    return [(kind, lv.depth, b)
-            for lv, m, _ in tr._walk(tr._levels(alpha).levels[:depth], inner)
-            for kind, b in level_branches(lv, m)]
+    """(kind, depth, map) rows of the shared level table over its first
+    `depth` levels with `inner` members per family, each level's interior
+    members before its boundary branch: the branch order apply_transfer
+    and qmark_pushforward sum in."""
+    return [(kind, k, b)
+            for k, lv in enumerate(tr._levels(alpha).levels[:depth], start=1)
+            for kind, b in level_branches(lv, min(lv.digit - 1, inner))]
+
+
+def spy_reach(monkeypatch):
+    """Patch tr._reach so that each pass over the levels it returns
+    appends the number of levels that pass took.  The last entry is then
+    the depth at which the latest walk stopped: the summing loop of
+    apply_transfer, the only pass of gkw_matrix."""
+    passes = []
+    reach = tr._reach
+
+    class Levels(list):
+        def __iter__(self):
+            passes.append(0)
+            for lv in super().__iter__():
+                passes[-1] += 1
+                yield lv
+
+    def spy(levels, s, cap):
+        reached, *rest = reach(levels, s, cap)
+        return (Levels(reached), *rest)
+
+    monkeypatch.setattr(tr, "_reach", spy)
+    return passes
 
 
 def reference_pushforward(alpha, y):
@@ -61,8 +89,8 @@ def reference_pushforward(alpha, y):
         return minkowski_q(cf_from_rational(fr))
 
     value = covered = Fraction(0)
-    for lv, m, _ in tr._walk(tr._levels(alpha).levels[:64], 64):
-        for _, b in level_branches(lv, m):
+    for lv in tr._levels(alpha).levels[:64]:
+        for _, b in level_branches(lv, min(lv.digit - 1, 64)):
             at0 = qmark(b.apply(0))
             value += abs(qmark(b.apply(y)) - at0)
             covered += abs(qmark(b.apply(1)) - at0)
@@ -100,7 +128,8 @@ class TestBranches:
     def test_gauss_is_one_infinite_family(self):
         assert matrix_rows(ZERO, inner=5) == [
             ("interior", 1, (0, 1, 1, i)) for i in range(1, 6)]
-        (lv, m, lumped), = tr._walk(tr._levels(ZERO).levels, 5)
+        lv, = tr._levels(ZERO).levels
+        m, lumped = min(lv.digit - 1, 5), lv.digit - 1 > 5
         assert (lv.digit, m, lumped) == (math.inf, 5, True)
 
     def test_alpha_one_boundary_then_family(self):
@@ -139,7 +168,7 @@ class TestBranches:
         assert sum(depth == 2 for _, depth, _ in branches) == 25
         data = tr._levels(tr.HALF_MINUS)
         assert data.levels[-1].digit == math.inf and not data.exhausted
-        lumped = [lumped for _, _, lumped in tr._walk(data.levels, 25)]
+        lumped = [lv.digit - 1 > 25 for lv in data.levels]
         assert lumped == [False, True]
 
     def test_truncated_parameter_raises_after_yielding(self):
@@ -166,6 +195,29 @@ class TestBranches:
         with pytest.raises(TruncationExhausted):
             tr.apply_transfer(ContinuedFraction((1,) * 30, exact=False),
                               1.0, lambda u: 1.0, 0.5)
+
+    @pytest.mark.parametrize("op", ["gkw_matrix", "apply_transfer"])
+    def test_truncation_boundary_is_the_stop_depth(self, op, monkeypatch):
+        # K settled ones against the golden parameter, whose walk at s = 1
+        # stops at depth D: every K < D raises, and every K >= D, the stop
+        # on the last settled level included, gives the golden result bit
+        # for bit
+        def run(alpha):
+            if op == "gkw_matrix":
+                return tr.gkw_matrix(alpha, 1.0, 64).tobytes()
+            got = tr.apply_transfer(alpha, 1.0, lambda u: 1.0 / (1.0 + u), 0.5)
+            return got.value, got.tail
+
+        passes = spy_reach(monkeypatch)
+        want = run(GOLDEN)
+        stop = passes[-1]
+        for K in range(stop - 3, stop + 4):
+            stub = ContinuedFraction((1,) * K, exact=False)
+            if K < stop:
+                with pytest.raises(TruncationExhausted):
+                    run(stub)
+            else:
+                assert run(stub) == want, K
 
     def test_image_intervals_disjoint_and_tiling(self):
         # branch images of (0,1) must not overlap, and their total length
@@ -249,28 +301,19 @@ class TestApply:
                                         (1, 1, 2), (3, 1, 1, 1, 40)],
                              ids=lambda p: ",".join(map(str, p)))
     def test_depth_tail_covers_dropped_levels(self, period, monkeypatch):
-        # the levels past the last one the walk reaches, summed to depth
+        # the levels past the one where the sum stopped, summed to depth
         # 200 here, must sit under the reported tail for psi monotone on
         # the parameter's cylinders
-        seen = []
-        walk = tr._walk
-
-        def spy(levels, inner):
-            for item in walk(levels, inner):
-                seen.append(item[0].depth)
-                yield item
-
-        monkeypatch.setattr(tr, "_walk", spy)
+        passes = spy_reach(monkeypatch)
         alpha = ContinuedFraction((), period)
         psis = (lambda u: 1.0, lambda u: 1.0 / (u * (1.0 + u)),
                 lambda u: u ** -0.5)
         for s in (0.75, 1.0):
             for y in (0.3, 0.9):
                 for psi in psis:
-                    seen.clear()
                     got = tr.apply_transfer(alpha, s, psi, y)
                     sums = periodic_level_sums(period, s, psi, y)
-                    dropped = math.fsum(sums[max(seen):])
+                    dropped = math.fsum(sums[passes[-1]:])
                     assert dropped <= got.tail, (s, y, dropped, got.tail)
 
     def test_non_finite_psi_at_an_end_gives_infinite_tail(self):
@@ -822,6 +865,13 @@ class TestQmarkPushforward:
     def test_rejects_point_outside_unit_interval(self):
         with pytest.raises(DomainError):
             tr.qmark_pushforward(ZERO, Fraction(3, 2))
+
+    @pytest.mark.parametrize("alpha", [ZERO, GOLDEN, tr.HALF_MINUS])
+    def test_point_past_the_budget_raises(self, alpha):
+        # the float 0.3 expands to [0;3,2,1,900719925474098,2], and every
+        # branch image of it keeps that digit
+        with pytest.raises(PrecisionBudgetError):
+            tr.qmark_pushforward(alpha, 0.3)
 
     @settings(max_examples=30, deadline=None)
     @given(st.fractions(0, 1, max_denominator=60),
