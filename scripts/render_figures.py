@@ -1,6 +1,7 @@
 """Render the parameter-vs-point heatmaps and leading-density profiles.
 
-Produces, under --out-dir:
+Produces, under --out-dir, through the `cfdyn` commands that write each
+file atomically:
   map_iterate_k1.{pgm,csv}   first-iterate intensity map (mirror-symmetric)
   map_iterate_k3.{pgm,csv}   third-iterate intensity map
   density_classical.csv      discretized leading density at the zero parameter
@@ -9,10 +10,17 @@ Produces, under --out-dir:
 
 import argparse
 import os
+import sys
 
 from cfdyn import cli
-from cfdyn.maps import FIBONACCI_ALPHA, GAUSS_ALPHA
-from cfdyn.transfer import gkw_matrix, leading_eigen
+
+
+def run(argv) -> None:
+    """cfdyn with these arguments; a failed command ends the script with
+    its exit code."""
+    code = cli.main(argv)
+    if code:
+        sys.exit(code)
 
 
 def main() -> None:
@@ -24,22 +32,14 @@ def main() -> None:
 
     os.makedirs(args.out_dir, exist_ok=True)
     for k in (1, 3):
-        values = cli.heatmap_values(args.grid, k)
         base = os.path.join(args.out_dir, "map_iterate_k%d" % k)
-        with open(base + ".pgm", "wb") as fh:
-            fh.write(cli.heatmap_pgm(values))
-        with open(base + ".csv", "w", newline="") as fh:
-            fh.write(cli.heatmap_csv(values, args.grid))
-        print("wrote %s.pgm and .csv" % base)
+        run(["heatmap", "--grid", str(args.grid), "--iter", str(k),
+             "--out", base + ".pgm"])
 
-    pairs = (("classical", GAUSS_ALPHA), ("golden", FIBONACCI_ALPHA))
-    for label, alpha in pairs:
-        matrix = gkw_matrix(alpha, 1.0, args.density_grid)
-        lam, density = leading_eigen(matrix)
+    for label, alpha in (("classical", "0"), ("golden", "(1)")):
         path = os.path.join(args.out_dir, "density_%s.csv" % label)
-        with open(path, "w", newline="") as fh:
-            fh.write(density.csv_text())
-        print("wrote %s (leading eigenvalue %.12f)" % (path, lam))
+        run(["spectrum", "--alpha", alpha, "--grid", str(args.density_grid),
+             "--out", path])
 
 
 if __name__ == "__main__":

@@ -33,10 +33,13 @@ from cfdyn.errors import (
 INF = math.inf
 
 # the most bits ? may take: the digit sum of an expansion is the width of
-# its ? numerator.  Tests and fixtures reach 500, `cfdyn verify` 71, and
+# its ? numerator and the length of its binary word.  Tests and fixtures reach 500, `cfdyn verify` 71, and
 # the benchmark's rationals with denominators up to 2**20 at most 2**20
 # (a digit sum never exceeds the denominator)
 QMARK_BITS = 1 << 22
+
+# the most trial divisors _square_free_split takes (about 0.2 s)
+SQUAREFREE_TRIALS = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -81,20 +84,31 @@ class MobiusMap:
 
 
 def _square_free_split(n: int) -> tuple[int, int]:
-    """n = f*f*m with m squarefree.  Returns (f, m); n must be >= 0."""
+    """n = f*f*m with m squarefree.  Returns (f, m); n must be >= 0.
+
+    Trial division by i = 2, 3, ... takes out every prime factor up to i
+    while i**3 <= the cofactor left; that cofactor then has at most two
+    prime factors, so one isqrt test tells a square from a squarefree
+    rest.  Past SQUAREFREE_TRIALS divisors it raises PrecisionBudgetError."""
     if n == 0:
         return 1, 0
     r = math.isqrt(n)
     if r * r == n:
         return r, 1
-    f, m = 1, n
-    i = 2
-    while i * i <= m:
-        while m % (i * i) == 0:
-            m //= i * i
-            f *= i
-        i += 1
-    return f, m
+    f, m, rest = 1, 1, n
+    for i in range(2, SQUAREFREE_TRIALS + 2):
+        if i * i * i > rest:
+            break
+        e = 0
+        while rest % i == 0:
+            rest //= i
+            e += 1
+        f, m = f * i ** (e // 2), m * i ** (e % 2)
+    else:
+        raise PrecisionBudgetError(
+            f"squarefree part of {n} needs more than {SQUAREFREE_TRIALS} trial divisors")
+    r = math.isqrt(rest)
+    return (f * r, m) if r * r == rest else (f, m * rest)
 
 
 @dataclass(frozen=True)
@@ -353,10 +367,8 @@ def cf_to_rational(x: ContinuedFraction) -> Fraction:
         raise TruncationExhausted("truncated expansion has no exact value")
     if x.is_periodic:
         raise NonTerminatingError("periodic expansion is irrational; use periodic_value")
-    v = Fraction(0)
-    for a in reversed(x.head):
-        v = Fraction(1, 1) / (a + v)
-    return v
+    _, p, _, q, _ = _last_convergent(x.head, len(x.head))
+    return Fraction(p, q)
 
 
 def _convergent_rows(digit_iter, depth: int) -> Iterator[tuple[int, int, int, int]]:
@@ -492,10 +504,10 @@ def same_digits(a: ContinuedFraction, b: ContinuedFraction) -> bool:
     """
     if not a.is_truncated and not b.is_truncated:
         return a == b
-    cap = len(a.head) + len(b.head) + 2
-    for va, vb in zip(islice(a.digits(), cap), b.digits()):
-        if va != vb:
-            return False
+    try:
+        agrees_on_settled(a, b)
+    except DomainError:
+        return False
     raise TruncationExhausted("streams agree on all settled digits")
 
 
@@ -578,8 +590,9 @@ def cf_complement(x: ContinuedFraction) -> ContinuedFraction:
 
 
 def _qmark_bits(bits: int) -> int:
-    """bits, the digit sum of an expansion ? is asked of, checked before
-    any shift: past QMARK_BITS it raises PrecisionBudgetError."""
+    """bits, the digit sum of an expansion: the width of its ? numerator
+    and the length of its binary word.  Checked before any shift or
+    string is built: past QMARK_BITS it raises PrecisionBudgetError."""
     if bits > QMARK_BITS:
         raise PrecisionBudgetError(
             f"question-mark needs {bits} bits, more than QMARK_BITS = {QMARK_BITS}")
@@ -659,6 +672,9 @@ class SternBrocotString:
         object.__setattr__(self, "runs", _normalise_runs(self.runs))
 
     def bits(self) -> str:
+        """The word as a string of 0s and 1s; a word longer than QMARK_BITS
+        raises PrecisionBudgetError before anything is built."""
+        _qmark_bits(len(self))
         return "".join(str(b) * n for b, n in self.runs)
 
     def __len__(self) -> int:

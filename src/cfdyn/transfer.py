@@ -42,8 +42,8 @@ HALF_PLUS = ContinuedFraction((1, 1))
 # full up to FINITE_MAX + 1 members, else its first FINITE_MAX (gkw_matrix
 # sums every member; the rest of a family is bracketed by quadratics,
 # certified for psi''' of one sign); and the stop of every depth walk
-# (_reach): the bound q_K^(-2s) (1 + zeta(2s, 1+y)) Phi(2s) on all
-# branches past level K, times sup|psi| for psi monotone, below TAIL_TOL
+# (_reach): the bound q_K^(-2s) _depth_weight(s, y) on all branches
+# past level K, times sup|psi| for psi monotone, below TAIL_TOL
 DEPTH_MAX = 200
 INNER_MAX = 2048
 FINITE_MAX = 200_000
@@ -102,42 +102,36 @@ def _levels(alpha: ContinuedFraction) -> _LevelData:
 
 
 def _reach(levels, s: float, cap: float) -> tuple:
-    """(levels, weights q_k^(-2s), stopped) of the walk's reach: through a
-    rational's last level, or through the first level whose weight times
-    cap is below TAIL_TOL, the one depth stop of every walk.  Either ends
-    the walk with stopped true; else it takes every level given.  A
-    level's branches are its family members 1..digit-1, then its boundary
-    branch when the digit is finite."""
-    reached, weights = [], []
+    """(levels, stopped) of the walk's reach: through a rational's last
+    level, or through the first level K whose weight q_K^(-2s) times cap
+    is below TAIL_TOL, the one depth stop of every walk.  Either ends the
+    walk with stopped true; else it takes every level given.  A level's
+    branches are its family members 1..digit-1, then its boundary branch
+    when the digit is finite."""
+    reached = []
     for lv in levels:
         reached.append(lv)
-        if lv.digit == INF:
-            return reached, weights, True
-        weights.append(lv.qk ** (-2.0 * s))
-        if weights[-1] * cap < TAIL_TOL:
-            return reached, weights, True
-    return reached, weights, False
+        if lv.digit == INF or lv.qk ** (-2.0 * s) * cap < TAIL_TOL:
+            return reached, True
+    return reached, False
 
 
-def _require_settled(data: _LevelData) -> None:
-    """Raise for a truncated parameter: its walk ran out of levels."""
-    if data.exhausted:
+def _require_settled(data: _LevelData, stopped: bool) -> None:
+    """Raise for a truncated parameter whose settled levels ran out
+    before the walk stopped."""
+    if not stopped and data.exhausted:
         raise TruncationExhausted(
             "parameter expansion has too few settled digits for this tolerance")
 
 
-def _depth_weight(s: float, zeta: SeriesValue) -> float:
-    """(1 + zeta(2s, 1+y)) Phi(2s), times q_K^(-2s) the most all branches
-    past level K weigh: level k's member i weighs <= q_{k-1}^(-2s)
-    (y+i)^(-2s), its boundary <= q_{k-1}^(-2s), and q_{K+j-1} >= F_j q_K.
-    zeta is the Hurwitz sum zeta(2s, 1+y) or an upper bound on it."""
-    return (1.0 + zeta.value + zeta.tail) * _fib_bound(2.0 * s)
-
-
-def _zeta_cap(p: float, a: float) -> SeriesValue:
-    """a^-p + a^(1-p)/(p-1) >= zeta(p, a): the terms past the first lie
-    under the integral of t^-p from a."""
-    return SeriesValue(a ** -p + a ** (1.0 - p) / (p - 1.0), 0.0)
+def _depth_weight(s: float, y: float) -> float:
+    """(1 + a^(-2s) + a^(1-2s)/(2s-1)) Phi(2s), a = 1 + y, times q_K^(-2s)
+    the most all branches past level K weigh: level k's member i weighs
+    <= q_{k-1}^(-2s) (y+i)^(-2s), its boundary <= q_{k-1}^(-2s), and
+    q_{K+j-1} >= F_j q_K.  a^(-2s) + a^(1-2s)/(2s-1) >= zeta(2s, a), as
+    the terms past the first lie under the integral of t^(-2s) from a."""
+    a, p = 1.0 + y, 2.0 * s
+    return (1.0 + (a ** -p + a ** (1.0 - p) / (p - 1.0))) * _fib_bound(p)
 
 
 def _sup_at_ends(psi: Callable, a: float, b: float) -> float:
@@ -225,21 +219,19 @@ def _images(levels, table, counts: list, offsets: list, y: float) -> tuple:
     return images, den, den0, families
 
 
-def _family_tails(families, s: float, y: float, probes, members) -> tuple:
-    """(zeta(2s, 1+y), an iterator of each family's (correction,
-    bound)) from one power_tail call: zeta, then each family's power sums
-    of exponents 2s, 2s+1 and 2s+2 from member m+1 and from its end."""
+def _family_tails(families, s: float, y: float, probes, members):
+    """Each lumped family's (correction, bound), in level order, from one
+    power_tail call over its power sums of exponents 2s, 2s+1 and 2s+2
+    from member m+1 and from its end.  The call waits for the first
+    next(), so a sum that lumps no family makes none."""
     sums = power_tail(*np.array(
-        [(1.0, 1.0 + y, 2.0 * s, 0.0)]
-        + [(lv.q, lv.q * y + lv.qq, 2.0 * s + k, start) for lv, m, _ in families
-           for start in (m + 1.0, lv.digit) for k in range(3)]).T)
-    terms = []
+        [(lv.q, lv.q * y + lv.qq, 2.0 * s + k, start) for lv, m, _ in families
+         for start in (m + 1.0, lv.digit) for k in range(3)]).T)
     for (lv, m, at), ends, *pair in zip(families, probes.reshape(-1, 2),
-                                        sums.value[1:].reshape(-1, 2, 3),
-                                        sums.tail[1:].reshape(-1, 2, 3)):
+                                        sums.value.reshape(-1, 2, 3),
+                                        sums.tail.reshape(-1, 2, 3)):
         f = (*ends, members[at + 2 * m // 3 - 1], members[at + m // 2 - 1])
-        terms.append(_family_tail_terms(lv, y, m, f, pair))
-    return SeriesValue(sums.value[0], sums.tail[0]), iter(terms)
+        yield _family_tail_terms(lv, y, m, f, pair)
 
 
 def apply_transfer(alpha: ContinuedFraction, s: float, psi: Callable,
@@ -249,23 +241,21 @@ def apply_transfer(alpha: ContinuedFraction, s: float, psi: Callable,
     and psi''' of one sign near each family limit (_family_tail_terms).
 
     psi is called once on the two ends of the depth-1 cylinder, then once
-    on one float array that holds every branch image the walk can reach,
-    so it must be numpy-elementwise; a constant may come back as a scalar.
-    Both calls run with numpy's floating-point warnings off, as the array
-    can reach past the level where the walk stops.
+    on one float array that holds the image of every branch summed, so it
+    must be numpy-elementwise; a constant may come back as a scalar.  Both
+    calls run with numpy's floating-point warnings off, as psi may be
+    infinite at a cylinder end or a family limit.
 
     An infinite family's first INNER_MAX members are summed one by one,
     and all of a finite family, or its first FINITE_MAX when it has more
     than FINITE_MAX + 1 (_explicit); _family_tail_terms takes the rest.
-    The walk stops after the first level K at which the depth tail,
-    q_K^(-2s) (1 + zeta(2s, 1+y)) Phi(2s) times the larger |psi| at the
-    ends of the depth-1 cylinder (which holds every deeper image), is below
-    TAIL_TOL * max(1, |sum|).  An infinite |psi| there leaves the tail
-    infinite, and the walk stops on the psi-free weight instead.  Either
-    stop holds by the first level whose weight, with zeta(2s, 1+y) capped
-    by _zeta_cap, is below TAIL_TOL: that level ends the array.  A
-    truncated parameter whose settled levels run out first raises
-    TruncationExhausted.
+    Every level _reach takes is summed, with the scale _depth_weight(s, y)
+    times the larger |psi| at the ends of the depth-1 cylinder (which
+    holds every deeper image) as its cap; the depth tail is that scale
+    times q_K^(-2s) of the last level K, below TAIL_TOL by the stop.  An
+    infinite |psi| there leaves the tail infinite, and the walk stops on
+    the psi-free weight instead.  A truncated parameter whose settled
+    levels run out before the stop raises TruncationExhausted.
 
     y is normally in (0,1) but any positive y is accepted: every branch
     image stays inside (0,1), which is what lets grid eigenfunctions be
@@ -278,10 +268,10 @@ def apply_transfer(alpha: ContinuedFraction, s: float, psi: Callable,
     first = data.levels[0]
     sup = 0.0 if first.digit == INF else _sup_at_ends(
         psi, first.pk / first.qk, (first.pk + first.p) / (first.qk + first.q))
-    cap = _depth_weight(s, _zeta_cap(2.0 * s, 1.0 + y))
-    # an infinite scale leaves the depth tail infinite: reach by the weight
-    scale_cap = cap * sup if cap * sup < math.inf else cap
-    levels, weights, _ = _reach(data.levels, s, scale_cap)
+    weight = _depth_weight(s, y)
+    scale = weight * sup
+    levels, stopped = _reach(data.levels, s, scale if scale < math.inf else weight)
+    _require_settled(data, stopped)
     counts = [_explicit(lv.digit - 1) for lv in levels]
     offsets = list(itertools.accumulate(counts, initial=0))
     images, den, den0, families = _images(levels, data.table, counts, offsets, y)
@@ -291,11 +281,9 @@ def apply_transfer(alpha: ContinuedFraction, s: float, psi: Callable,
                                        offsets[-1] + np.array([0, len(den0)]))
     terms = den ** (-2.0 * s) * members
     boundary = [d ** (-2.0 * s) * v for d, v in zip(den0.tolist(), bounds.tolist())]
-    zeta, family_terms = _family_tails(families, s, y, probes, members)
-    scale = sup * _depth_weight(s, zeta)
-    stop = scale if scale < math.inf else _depth_weight(s, zeta)
+    family_terms = _family_tails(families, s, y, probes, members)
 
-    total = tail = depth_tail = 0.0
+    total = tail = 0.0
     for k, (lv, m) in enumerate(zip(levels, counts)):
         level_sum = float(np.sum(terms[offsets[k]:offsets[k + 1]])) if m else 0.0
         if m < lv.digit - 1:
@@ -305,12 +293,7 @@ def apply_transfer(alpha: ContinuedFraction, s: float, psi: Callable,
         if lv.digit == INF:  # a rational's last level: nothing lies deeper
             return SeriesValue(total + level_sum, tail)
         total += level_sum + boundary[k]
-        depth_tail = scale * weights[k]
-        if stop * weights[k] < TAIL_TOL * max(1.0, abs(total)):
-            break
-    else:
-        _require_settled(data)
-    return SeriesValue(total, tail + depth_tail)
+    return SeriesValue(total, tail + scale * levels[-1].qk ** (-2.0 * s))
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +316,7 @@ def gkw_matrix(alpha: ContinuedFraction, s: float, n: int) -> np.ndarray:
     if not 0.5 < s < math.inf:
         raise DomainError("branch series needs a finite s > 1/2")
     data = _levels(alpha)
-    deeper = _depth_weight(s, hurwitz_sum(2.0 * s, 1.0))
+    deeper = _depth_weight(s, 0.0)
     ys = np.linspace(0.0, 1.0, n + 1)[:, None]
     offsets = np.arange(n + 1)[:, None] * (n + 1)  # flat index of each row
     flat, mass = [], []
@@ -348,7 +331,8 @@ def gkw_matrix(alpha: ContinuedFraction, s: float, n: int) -> np.ndarray:
         frac = t - idx
         split(idx, weights * (1.0 - frac), weights * frac)
 
-    levels, _, stopped = _reach(data.levels, s, deeper)
+    levels, stopped = _reach(data.levels, s, deeper)
+    _require_settled(data, stopped)
     for lv in levels:
         count = lv.digit - 1  # inf stays inf
         if count >= 1:
@@ -378,8 +362,6 @@ def gkw_matrix(alpha: ContinuedFraction, s: float, n: int) -> np.ndarray:
         if lv.digit != INF:
             den = lv.qk * ys + lv.q
             scatter(den ** (-2.0 * s), (lv.pk * ys + lv.p) / den)
-    if not stopped:
-        _require_settled(data)
     return np.bincount(np.concatenate(flat), np.concatenate(mass),
                        minlength=(n + 1) ** 2).reshape(n + 1, n + 1)
 

@@ -7,6 +7,7 @@ is meaningful.
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from cfdyn.cf import (
     MobiusMap,
     QuadraticSurd,
     SternBrocotString,
+    _square_free_split,
     agrees_on_settled,
     cf_complement,
     cf_from_rational,
@@ -295,6 +297,16 @@ class TestPeriodicValue:
         with pytest.raises(DomainError):
             periodic_value(cf_from_rational(2, 5))
 
+    def test_long_period_settles_quickly(self):
+        # period 1..13 leaves a discriminant of about 1.9e20, whose
+        # squarefree part full trial division up to its root never reached
+        x = CF((), tuple(range(1, 14)))
+        start = time.perf_counter()
+        t = periodic_value(x)
+        assert time.perf_counter() - start < 1.0
+        v, err = cf_value(x, depth=45)
+        assert abs(float(t) - v) <= err + 1e-12
+
 
 class TestQuadraticSurd:
     def test_normal_form(self):
@@ -315,6 +327,35 @@ class TestQuadraticSurd:
         t = QuadraticSurd(-1, 1, 2)  # sqrt(2) - 1
         img = t.mobius(MobiusMap(0, 1, 1, 1))  # 1/(1 + t) = 1/sqrt(2)
         assert img.square().as_fraction() == Fraction(1, 2)
+
+    def test_squarefree_split_matches_factorisation(self):
+        def split(n):
+            f, m, p = 1, 1, 2
+            while n > 1:
+                e = 0
+                while n % p == 0:
+                    n, e = n // p, e + 1
+                f, m, p = f * p ** (e // 2), m * p ** (e % 2), p + 1
+            return f, m
+
+        for n in range(1, 3000):
+            assert _square_free_split(n) == split(n), n
+        # what trial division leaves is a prime, a prime's square or two
+        # distinct primes, all past the last divisor tried
+        p, q = 1000003, 998244353
+        assert _square_free_split(12 * p * p) == (2 * p, 3)
+        assert _square_free_split(7 * p * q) == (1, 7 * p * q)
+        assert _square_free_split(4 * p * q) == (2, p * q)
+        assert _square_free_split(9 * p) == (3, p)
+
+    def test_product_of_two_large_primes_hits_the_trial_budget(self):
+        # two primes near 2**50: the cofactor's cube root is past the
+        # SQUAREFREE_TRIALS divisors, and nothing smaller divides it
+        p, q = 1125899906842597, 1125899906842589
+        start = time.perf_counter()
+        with pytest.raises(PrecisionBudgetError):
+            QuadraticSurd(0, 1, p * q)
+        assert time.perf_counter() - start < 1.0
 
     def test_mobius_matches_fraction_arithmetic(self):
         t = QuadraticSurd(3, 0, 0, 7)
@@ -484,6 +525,15 @@ class TestBinaryString:
         w = to_binary_string(x)
         assert w.inf_tail
         assert from_binary_string(w) == x
+
+    def test_word_past_the_budget_raises(self):
+        # the word of the float 0.3 is as long as its digit sum, about
+        # 9e14 bits: every method that builds the string checks first
+        w = to_binary_string(cf_from_rational(0.3))
+        assert len(w) == 900719925474105 > QMARK_BITS
+        for build in (w.bits, w.value, w.__str__):
+            with pytest.raises(PrecisionBudgetError):
+                build()
 
     def test_trailing_zeros_ignored(self):
         w = SternBrocotString(((0, 1), (1, 2), (0, 3)))

@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import shlex
 import tracemalloc
 from fractions import Fraction
 
@@ -500,3 +501,50 @@ class TestAtomicWrite:
         assert path.read_bytes() == text.encode()
         assert peak < len(text) // 8
         assert [p.name for p in tmp_path.iterdir()] == ["big.csv"]
+
+
+def readme_cli_lines():
+    """(argv, expected output or None) of each command the README's CLI
+    block documents.  A `cfdyn ...` line's comment, continued on the
+    comment-only lines below it, may give its output as `-> text` (less
+    any parenthesised note), or list other values of its last option as
+    `also: a, b; omit --option ...`, each a command of its own, as is the
+    line without that option."""
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = []
+    for line in block.splitlines():
+        if line.startswith("cfdyn "):
+            command, _, comment = line.partition("#")
+            lines.append([shlex.split(command)[1:], comment.strip()])
+        elif line.strip().startswith("#"):
+            lines[-1][1] += " " + line.strip()[1:].strip()
+    rows = []
+    for argv, comment in lines:
+        want = comment[3:].split(" (")[0] if comment.startswith("-> ") else None
+        rows.append((argv, want))
+        if comment.startswith("also:"):
+            values, _, rest = comment[5:].partition(";")
+            rows += [(argv[:-1] + [v.strip()], None) for v in values.split(",")]
+            if rest.split()[:2] == ["omit", argv[-2]]:
+                rows.append((argv[:-2], None))
+    return rows
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
+    # every documented command exits 0 in a scratch directory, and prints
+    # the output its comment promises
+    monkeypatch.chdir(tmp_path)
+    rows = readme_cli_lines()
+    assert [want for _, want in rows if want] == ["[0;2] 0.5", "[0;2,2] 0.4", "3/8"]
+    for argv, want in rows:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the arguments
+            code = exc.code
+        out = capsys.readouterr().out
+        assert code == 0, argv
+        if want is not None:
+            assert out.strip() == want, argv

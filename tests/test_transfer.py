@@ -316,6 +316,29 @@ class TestApply:
                     dropped = math.fsum(sums[passes[-1]:])
                     assert dropped <= got.tail, (s, y, dropped, got.tail)
 
+    @pytest.mark.parametrize("s", [0.51, 0.75, 1.0, 1.5, 3.0])
+    def test_depth_weight_covers_the_hurwitz_bound(self, s):
+        # the integral cap on zeta(2s, 1+y) must lie above the Hurwitz sum
+        # plus its own tail, at y = 0 (the grid's cap) and beyond
+        phi, p = (1.0 + math.sqrt(5.0)) / 2.0, 2.0 * s
+        fib = phi ** p / (1.0 - phi ** -p)
+        for y in (0.0, 0.05, 0.5, 1.0, 5.0):
+            zeta = hurwitz_sum(p, 1.0 + y)
+            assert tr._depth_weight(s, y) >= (1.0 + zeta.value + zeta.tail) * fib, (s, y)
+
+    @pytest.mark.parametrize("alpha", [GOLDEN, PELL, ContinuedFraction((), (1, 2))],
+                             ids=["(1)", "(2)", "(1,2)"])
+    def test_depth_tail_is_below_the_stop(self, alpha):
+        # with no lumped family the whole tail is the depth tail, the
+        # scale times the last level's weight: below TAIL_TOL by the stop
+        psis = (lambda u: 1.0, lambda u: 1.0 / (u * (1.0 + u)),
+                lambda u: 1.0 / (1.0 + u))
+        for s in (0.75, 1.0, 1.5):
+            for y in (0.05, 0.3, 0.9, 1.7):
+                for psi in psis:
+                    got = tr.apply_transfer(alpha, s, psi, y)
+                    assert 0.0 < got.tail < tr.TAIL_TOL, (s, y, got.tail)
+
     def test_non_finite_psi_at_an_end_gives_infinite_tail(self):
         # 1/(1-u) blows up at 1, an end of the depth-1 cylinder [1/2, 1] of
         # (1); 1/u at 0, the family limit of parameter 0.  Neither tail can
