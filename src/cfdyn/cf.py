@@ -33,12 +33,13 @@ from cfdyn.errors import (
 INF = math.inf
 
 # the most bits ? may take: the digit sum of an expansion is the width of
-# its ? numerator and the length of its binary word.  Tests and fixtures reach 500, `cfdyn verify` 71, and
-# the benchmark's rationals with denominators up to 2**20 at most 2**20
-# (a digit sum never exceeds the denominator)
+# its ? numerator and the length of its binary word.  Tests and fixtures
+# reach 500, `cfdyn verify` 71, and the benchmark's rationals with
+# denominators up to 2**20 at most 2**20 (a digit sum never exceeds the
+# denominator)
 QMARK_BITS = 1 << 22
 
-# the most trial divisors _square_free_split takes (about 0.2 s)
+# the most trial divisors _square_free_split takes, a few tenths of a second
 SQUAREFREE_TRIALS = 1 << 20
 
 
