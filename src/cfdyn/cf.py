@@ -32,11 +32,11 @@ from cfdyn.errors import (
 
 INF = math.inf
 
-# the most bits ? may take: the digit sum of an expansion is the width of
-# its ? numerator and the length of its binary word.  Tests and fixtures
-# reach 500, `cfdyn verify` 71, and the benchmark's rationals with
-# denominators up to 2**20 at most 2**20 (a digit sum never exceeds the
-# denominator)
+# the largest digit sum an exact path takes: the digit sum of an
+# expansion is the width of its ? numerator, the length of its binary word
+# and a bound on the length of its jimm image.  Tests and fixtures reach
+# 500, `cfdyn verify` 71, and the benchmark's rationals with denominators
+# up to 2**20 at most 2**20 (a digit sum never exceeds the denominator)
 QMARK_BITS = 1 << 22
 
 # the most trial divisors _square_free_split takes, a few tenths of a second
@@ -90,26 +90,27 @@ def _square_free_split(n: int) -> tuple[int, int]:
     Trial division by i = 2, 3, ... takes out every prime factor up to i
     while i**3 <= the cofactor left; that cofactor then has at most two
     prime factors, so one isqrt test tells a square from a squarefree
-    rest.  Past SQUAREFREE_TRIALS divisors it raises PrecisionBudgetError."""
+    rest.  The cofactor is also tested for a square each time a prime
+    leaves it, so one large square factor (12 p**2) is settled at once;
+    a large cube (2 p**3) still needs trial divisors up to p.  Past
+    SQUAREFREE_TRIALS divisors it raises PrecisionBudgetError."""
     if n == 0:
         return 1, 0
-    r = math.isqrt(n)
-    if r * r == n:
-        return r, 1
-    f, m, rest = 1, 1, n
+    f, m, rest, e = 1, 1, n, 1
     for i in range(2, SQUAREFREE_TRIALS + 2):
+        if e:  # the cofactor changed since its last square test
+            r = math.isqrt(rest)
+            if r * r == rest:
+                return f * r, m
         if i * i * i > rest:
-            break
+            return f, m * rest
         e = 0
         while rest % i == 0:
             rest //= i
             e += 1
         f, m = f * i ** (e // 2), m * i ** (e % 2)
-    else:
-        raise PrecisionBudgetError(
-            f"squarefree part of {n} needs more than {SQUAREFREE_TRIALS} trial divisors")
-    r = math.isqrt(rest)
-    return (f * r, m) if r * r == rest else (f, m * rest)
+    raise PrecisionBudgetError(
+        f"squarefree part of {n} needs more than {SQUAREFREE_TRIALS} trial divisors")
 
 
 @dataclass(frozen=True)
@@ -542,16 +543,6 @@ def agrees_on_settled(a: ContinuedFraction, b: ContinuedFraction) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _complement_rule(head: tuple[int, ...]) -> tuple[int, ...] | None:
-    """Leading-digit rewrite for 1 - x.  None means the rule needs the
-    digit after the first and the caller has to supply it."""
-    if head[0] == 1:
-        if len(head) == 1:
-            return None
-        return (head[1] + 1,) + head[2:]
-    return (1, head[0] - 1) + head[1:]
-
-
 def cf_complement(x: ContinuedFraction) -> ContinuedFraction:
     """Digit expansion of 1 - x.
 
@@ -560,29 +551,20 @@ def cf_complement(x: ContinuedFraction) -> ContinuedFraction:
     swaps the minus and plus endings, so 1/2 = [0; 2] goes to [0; 1, 1].
     That raw form is the one the maps' complement symmetry needs: the
     map at parameter 1 - alpha sends 1 - x where the map at alpha sends x.
+    A periodic x lends the rule up to two digits of its period; a
+    truncated x whose settled digits end before a_2 is known leaves none.
     """
-    if x.is_periodic:
-        head, period = x.head, x.period
-        if not head:
-            head, period = (period[0],), period[1:] + period[:1]
-        out = _complement_rule(head)
-        if out is None:
-            out = (period[0] + 1,) + head[1:]
-            period = period[1:] + period[:1]
-        return ContinuedFraction(out, period)
-    if x.is_truncated:
-        if not x.head:
-            return ContinuedFraction((), (), False)
-        out = _complement_rule(x.head)
-        if out is None:
-            return ContinuedFraction((), (), False)
-        return ContinuedFraction(out, (), False)
-    # rational
-    if not x.head:
-        return ONE
-    if x.head == (1,):
-        return ZERO
-    return ContinuedFraction(_complement_rule(x.head))
+    head, period = x.head, x.period
+    if period and len(head) < 2:
+        k = 2 - len(head)
+        head, period = head + (period * 2)[:k], period[k:] + period[:k]
+    if not head:  # 1 - 0 = [0; 1]; nothing settled stays so
+        return ONE if x.exact else x
+    if head[0] == 1:
+        out = (head[1] + 1,) + head[2:] if len(head) > 1 else ()
+    else:
+        out = (1, head[0] - 1) + head[1:]
+    return ContinuedFraction(out, period, x.exact)
 
 
 # ---------------------------------------------------------------------------
@@ -590,14 +572,15 @@ def cf_complement(x: ContinuedFraction) -> ContinuedFraction:
 # ---------------------------------------------------------------------------
 
 
-def _qmark_bits(bits: int) -> int:
-    """bits, the digit sum of an expansion: the width of its ? numerator
-    and the length of its binary word.  Checked before any shift or
-    string is built: past QMARK_BITS it raises PrecisionBudgetError."""
-    if bits > QMARK_BITS:
+def _digit_sum_budget(total: int) -> int:
+    """total, the digit sum of an expansion: the width of its ? numerator,
+    the length of its binary word and a bound on its jimm image's length.
+    Checked before any shift, string or list is built: past QMARK_BITS it
+    raises PrecisionBudgetError."""
+    if total > QMARK_BITS:
         raise PrecisionBudgetError(
-            f"question-mark needs {bits} bits, more than QMARK_BITS = {QMARK_BITS}")
-    return bits
+            f"digit sum {total} is more than QMARK_BITS = {QMARK_BITS}")
+    return total
 
 
 def _qmark_numerator(digits, num: int = 0, sign: int = 1) -> tuple[int, int]:
@@ -627,7 +610,7 @@ def minkowski_q(x: ContinuedFraction) -> Fraction:
     if x.is_truncated:
         raise TruncationExhausted("question-mark needs the full expansion")
     expo = sum(x.head)
-    _qmark_bits(expo + sum(x.period))
+    _digit_sum_budget(expo + sum(x.period))
     num, sign = _qmark_numerator(x.head)
     if not x.period:
         return Fraction(2 * num, 1 << expo)
@@ -675,7 +658,7 @@ class SternBrocotString:
     def bits(self) -> str:
         """The word as a string of 0s and 1s; a word longer than QMARK_BITS
         raises PrecisionBudgetError before anything is built."""
-        _qmark_bits(len(self))
+        _digit_sum_budget(len(self))
         return "".join(str(b) * n for b, n in self.runs)
 
     def __len__(self) -> int:

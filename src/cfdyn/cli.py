@@ -136,76 +136,59 @@ _BLOCK_CELLS = 8192
 # it covers the whole of the smallest (16-by-16) grid
 _CHECK_SIDE = 16
 
+# the largest heatmap side: a grid holds side**2 cells, and its CSV text
+# about 40 bytes per cell
+GRID_MAX = 2048
+
 
 def _grid_digits(n: int, variant: str) -> np.ndarray:
-    """Digits of the midpoints (2j+1)/2n, row j, by a vectorised Euclid.
+    """Digits of the midpoints (2j+1)/2n, row j, from `cf_from_rational`.
 
     Digits are >= 1, so 0 marks the end of a row; every row ends in at
-    least one 0 column.  The "plus" variant rewrites the last digit d
-    (always >= 2 for a point inside (0, 1)) as d-1, 1."""
-    p = np.arange(1, 2 * n, 2, dtype=np.int64)
-    q = np.full(n, 2 * n, dtype=np.int64)
-    cols = []
-    while p.any():
-        live = p > 0
-        d = np.where(live, q // np.maximum(p, 1), 0)
-        p, q = np.where(live, q - d * p, 0), p
-        cols.append(d)
-    digits = np.zeros((n, len(cols) + 2), dtype=np.int64)
-    digits[:, :len(cols)] = np.stack(cols, axis=1)
-    if variant == "plus":
-        rows, end = np.arange(n), np.count_nonzero(digits, axis=1)
-        digits[rows, end - 1] -= 1
-        digits[rows, end] = 1
-    return digits
+    least one 0 column."""
+    rows = [cf_from_rational(2 * j + 1, 2 * n, variant=variant).head
+            for j in range(n)]
+    width = 1 + max(map(len, rows))
+    return np.array([row + (0,) * (width - len(row)) for row in rows], np.int32)
 
 
 class _SuffixTable:
-    """Every suffix of every row of a `_grid_digits` array, sorted.
+    """Every suffix of every row of a `_grid_digits` array, with an index
+    of their longest common prefixes.
 
-    A suffix is named by its position in the lexicographic order of the
-    zero-padded suffixes (duplicates keep one position each); `pos[r, o]`
-    is the position of row r from digit o on.  Per position the table
-    holds `length`, the exact `P`/`Q` = [0; suffix] from the backward
-    recurrence, `adv[c]`, the position with c more digits dropped (the
-    empty suffix once the row is used up), and `digit[c]`, its digit c
-    (0 past its end).  The longest common prefix of two suffixes is the
+    Suffix (r, o) is row r from digit o on, zero-padded to the row width.
+    `length[r, o]` is its digit count and `P[r, o]`/`Q[r, o]` the exact
+    [0; suffix] from the backward recurrence.  `pos[r, o]` is its position
+    in the lexicographic order of all suffixes (duplicates keep one
+    position each).  The longest common prefix of two suffixes is the
     minimum of the adjacent LCPs between their positions (Manber & Myers,
     SIAM J. Comput. 22, 1993), read in O(1) from a sparse table of range
     minima (Bender & Farach-Colton, LATIN 2000)."""
 
     def __init__(self, grid: np.ndarray) -> None:
         n, w = grid.shape
-        digits = grid.astype(np.int32)
-        self.digits, self.width = digits, w
-        # suffix (r, o) is digits[r, o:] padded with zeros to w columns
-        padded = np.concatenate([digits, np.zeros_like(digits)], axis=1)
+        self.digits, self.width = grid, w
+        padded = np.concatenate([grid, np.zeros_like(grid)], axis=1)
         offsets = np.arange(w)
         suffixes = padded[:, offsets[:, None] + offsets].reshape(n * w, w)
         order = np.lexsort(suffixes.T[::-1])
         rank = np.empty(n * w, np.int32)
         rank[order] = np.arange(n * w, dtype=np.int32)
         self.pos = rank.reshape(n, w)
-        ranked = suffixes[order]
-        row, off = np.divmod(order, w)
-        self.length = np.count_nonzero(ranked, axis=1).astype(np.int32)
-        # the last column is 0 in every row, so clipping there reaches the
-        # empty suffix; a step drops at most w + 1 digits
-        self.adv = self.pos[row, np.minimum(off + np.arange(w + 2)[:, None],
-                                            w - 1)]
-        self.digit = ranked[:, 0][self.adv]
+        self.length = np.maximum(
+            np.count_nonzero(grid, axis=1)[:, None] - offsets, 0)
 
         p, q = np.zeros(n, np.int64), np.ones(n, np.int64)
-        ps, qs = np.empty((n, w), np.int64), np.empty((n, w), np.int64)
+        self.P, self.Q = np.empty((n, w), np.int64), np.empty((n, w), np.int64)
         for o in range(w - 1, -1, -1):
-            d = digits[:, o]
+            d = grid[:, o]
             live = d > 0
             p, q = np.where(live, q, 0), np.where(live, d * q + p, 1)
-            ps[:, o], qs[:, o] = p, q
-        self.P, self.Q = ps[row, off], qs[row, off]
+            self.P[:, o], self.Q[:, o] = p, q
 
         # lcp[j] is the LCP of the suffixes at positions j and j + 1, and
         # row h of the sparse table the minimum of 2^h adjacent entries
+        ranked = suffixes[order]
         differ = ranked[1:] != ranked[:-1]
         lcp = np.where(differ.any(axis=1), differ.argmax(axis=1), w)
         levels, span = [lcp.astype(np.int32)], 1
@@ -227,33 +210,39 @@ class _SuffixTable:
         got = np.minimum(self.rmq[h, lo], self.rmq[h, hi - (1 << h)])
         return np.where(u == v, self.width, got)
 
-    def step(self, alpha: np.ndarray, f: np.ndarray, t: np.ndarray):
-        """One map step of the states (f, t) under the parameter rows
-        alpha (a column of row indices).
+    def step(self, alpha: np.ndarray, f: np.ndarray, o: np.ndarray):
+        """One map step of the states (f, o) under the parameter rows
+        alpha (a column of row indices); column x holds the point of row x.
 
-        A state is the point [0; f, suffix t], or 0 where f is 0.  The
+        A state is the point [0; f, suffix (x, o)], or 0 where f is 0.  The
         rule is `t_alpha_step`'s digit comparison: at the first index i
         where the state and the parameter differ or the state has ended,
         the state ending gives 0, the parameter ending or a smaller digit
         of the state drops i+1 digits, and a larger digit b against a
         drops i digits and sets the new first digit to b-a.  Parameter
-        digits past the first are the suffix at pos[alpha, 1], so i is 0
-        where f differs from the parameter's first digit and otherwise
-        1 + min(LCP, length of t).  t always starts at digit 1 or later
-        of its row, so i stays inside the parameter's row."""
+        digits past the first are the suffix (alpha, 1), so i is 0 where f
+        differs from the parameter's first digit and otherwise 1 + min(LCP,
+        length of the state's suffix).  o is always 1 or more, so i stays
+        inside the parameter's row."""
+        x, last = np.arange(f.shape[1]), self.width - 1
         head = self.digits[alpha, 0]
-        common = np.minimum(self.lcp(self.pos[alpha, 1], t), self.length[t])
+        common = np.minimum(self.lcp(self.pos[alpha, 1], self.pos[x, o]),
+                            self.length[x, o])
         i = np.where(f == head, 1 + common, 0)
         a = self.digits[alpha, i]
-        b = np.where(i == 0, f, self.digit[np.maximum(i - 1, 0), t])
+        b = np.where(i == 0, f, self.digits[x, o + i - 1])
         reduce = (b > a) & (a > 0)
-        f = np.where(b == 0, 0, np.where(reduce, b - a, self.digit[i, t]))
-        return f, self.adv[i + 1 - reduce, t]
+        # o + i is the offset of the state's digit i+1; the last column is
+        # 0 in every row, so clipping there reaches the empty suffix
+        nxt = np.minimum(o + i, last)
+        f = np.where(b == 0, 0, np.where(reduce, b - a, self.digits[x, nxt]))
+        return f, np.minimum(nxt + 1 - reduce, last)
 
-    def values(self, f: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Values Q_t / (f Q_t + P_t) of the states, 0.0 where f is 0."""
-        q, live = self.Q[t], f > 0
-        return np.where(live, q, 0) / np.where(live, f * q + self.P[t], 1)
+    def values(self, f: np.ndarray, o: np.ndarray) -> np.ndarray:
+        """Values Q / (f Q + P) of the states, 0.0 where f is 0."""
+        x = np.arange(f.shape[1])
+        q, live = self.Q[x, o], f > 0
+        return np.where(live, q, 0) / np.where(live, f * q + self.P[x, o], 1)
 
 
 def _check_cells(values: np.ndarray, n: int, k: int, variant: str) -> None:
@@ -284,19 +273,23 @@ def heatmap_values(n: int, k: int, variant: str = "minus") -> np.ndarray:
 
     Every iterate of a grid point is a suffix of its own digit row with
     at most the first digit rewritten, so a cell's state is two small
-    integers: f, the first digit (0 for the point 0), and t, the sorted
-    position of the remaining digits in the `_SuffixTable` of all grid
-    suffixes.  A step compares the state with the parameter through one
-    O(1) range-minimum LCP query, then strips or reduces by the map's
-    rule.  Blocks of parameter rows step all n points at once and stop
-    once every state in the block is 0, which each reaches within its
-    digit sum.  The value Q_t / (f Q_t + P_t) is the coprime pair that
-    `cf_value` divides, both below 2^53, so every value is the same
-    correctly rounded float.  A 16-by-16 subgrid (the whole grid at
-    n = 16) is then recomputed point by point through `t_alpha_step` and
-    must agree bit for bit."""
+    integers: f, the first digit (0 for the point 0), and o, the offset
+    of the remaining digits in the point's row of the `_SuffixTable`.  A
+    step compares the state with the parameter through one O(1)
+    range-minimum LCP query, then strips or reduces by the map's rule.
+    Blocks of parameter rows step all n points at once and stop once
+    every state in the block is 0, which each reaches within its digit
+    sum.  The value Q / (f Q + P), with P/Q = [0; remaining digits], is
+    the coprime pair that `cf_value` divides, both below 2^53, so every
+    value is the same correctly rounded float.  A 16-by-16 subgrid (the
+    whole grid at n = 16) is then recomputed point by point through
+    `t_alpha_step` and must agree bit for bit.  A side past GRID_MAX
+    raises PrecisionBudgetError before anything is allocated."""
     if n < 16:
         raise DomainError("grid size must be >= 16")
+    if n > GRID_MAX:
+        raise PrecisionBudgetError(
+            f"grid size {n} is more than GRID_MAX = {GRID_MAX}")
     if k < 1:
         raise DomainError("iterate count must be >= 1")
     if variant not in ("minus", "plus"):
@@ -307,12 +300,12 @@ def heatmap_values(n: int, k: int, variant: str = "minus") -> np.ndarray:
     for start in range(0, n, block):
         alpha = np.arange(start, min(start + block, n))[:, None]
         f = np.broadcast_to(table.digits[:, 0], (len(alpha), n))
-        t = np.broadcast_to(table.pos[:, 1], (len(alpha), n))
+        o = np.ones_like(f)
         for _ in range(k):
             if not f.any():
                 break
-            f, t = table.step(alpha, f, t)
-        values[start:start + block] = table.values(f, t)
+            f, o = table.step(alpha, f, o)
+        values[start:start + block] = table.values(f, o)
     _check_cells(values, n, k, variant)
     return values
 

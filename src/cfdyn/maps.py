@@ -34,6 +34,7 @@ from cfdyn.cf import (
     ContinuedFraction,
     _bare,
     _decision_horizon,
+    _digit_sum_budget,
     _last_convergent,
     cf_value,
     drop_digits,
@@ -371,7 +372,10 @@ def jimm(x: ContinuedFraction) -> ContinuedFraction:
     without bound and falls off the end); other periodic expansions stay
     periodic.  Truncated input propagates its settled prefix.  Only the
     last case needs the canonicalising constructor: a period (1,) follows
-    a token >= 2."""
+    a token >= 2.  The output has at most one digit per unit of the
+    digit sum of the head and two periods, so past QMARK_BITS it raises
+    PrecisionBudgetError before any output is built."""
+    _digit_sum_budget(sum(x.head) + 2 * sum(x.period))
     out = []
     pending = _rewrite(x.head, out, 1)
     if x.is_truncated:

@@ -25,8 +25,8 @@ from .cf import (
     ONE,
     ZERO,
     _convergent_rows,
+    _digit_sum_budget,
     _euclid_quotients,
-    _qmark_bits,
     _qmark_numerator,
 )
 from .errors import ConvergenceError, DomainError, TruncationExhausted
@@ -101,27 +101,22 @@ def _levels(alpha: ContinuedFraction) -> _LevelData:
     return _LevelData(tuple(levels), ended and not complete, table)
 
 
-def _reach(levels, s: float, cap: float) -> tuple:
-    """(levels, stopped) of the walk's reach: through a rational's last
-    level, or through the first level K whose weight q_K^(-2s) times cap
-    is below TAIL_TOL, the one depth stop of every walk.  Either ends the
-    walk with stopped true; else it takes every level given.  A level's
-    branches are its family members 1..digit-1, then its boundary branch
-    when the digit is finite."""
+def _reach(data: _LevelData, s: float, cap: float) -> list:
+    """The levels of the walk's reach: through a rational's last level, or
+    through the first level K whose weight q_K^(-2s) times cap is below
+    TAIL_TOL, the one depth stop of every walk.  A truncated parameter
+    whose settled levels run out before that stop raises
+    TruncationExhausted.  A level's branches are its family members
+    1..digit-1, then its boundary branch when the digit is finite."""
     reached = []
-    for lv in levels:
+    for lv in data.levels:
         reached.append(lv)
         if lv.digit == INF or lv.qk ** (-2.0 * s) * cap < TAIL_TOL:
-            return reached, True
-    return reached, False
-
-
-def _require_settled(data: _LevelData, stopped: bool) -> None:
-    """Raise for a truncated parameter whose settled levels ran out
-    before the walk stopped."""
-    if not stopped and data.exhausted:
+            return reached
+    if data.exhausted:
         raise TruncationExhausted(
             "parameter expansion has too few settled digits for this tolerance")
+    return reached
 
 
 def _depth_weight(s: float, y: float) -> float:
@@ -270,8 +265,7 @@ def apply_transfer(alpha: ContinuedFraction, s: float, psi: Callable,
         psi, first.pk / first.qk, (first.pk + first.p) / (first.qk + first.q))
     weight = _depth_weight(s, y)
     scale = weight * sup
-    levels, stopped = _reach(data.levels, s, scale if scale < math.inf else weight)
-    _require_settled(data, stopped)
+    levels = _reach(data, s, scale if scale < math.inf else weight)
     counts = [_explicit(lv.digit - 1) for lv in levels]
     offsets = list(itertools.accumulate(counts, initial=0))
     images, den, den0, families = _images(levels, data.table, counts, offsets, y)
@@ -331,9 +325,7 @@ def gkw_matrix(alpha: ContinuedFraction, s: float, n: int) -> np.ndarray:
         frac = t - idx
         split(idx, weights * (1.0 - frac), weights * frac)
 
-    levels, stopped = _reach(data.levels, s, deeper)
-    _require_settled(data, stopped)
-    for lv in levels:
+    for lv in _reach(data, s, deeper):
         count = lv.digit - 1  # inf stays inf
         if count >= 1:
             z = ys + np.arange(1.0, min(count, _HEAD) + 1)
@@ -614,7 +606,7 @@ def _qmark_dyadic(num: int, den: int) -> tuple[int, int]:
     Euclid's quotients are the expansion, whatever gcd(num, den) is.  E
     past QMARK_BITS raises PrecisionBudgetError."""
     digits = _euclid_quotients(den, num)
-    bits = _qmark_bits(sum(digits))
+    bits = _digit_sum_budget(sum(digits))
     return _qmark_numerator(digits)[0] << 1, bits
 
 

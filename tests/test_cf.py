@@ -357,13 +357,66 @@ class TestQuadraticSurd:
             QuadraticSurd(0, 1, p * q)
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("c, split", [(12, (2, 3)), (5, (1, 5)), (77, (1, 77))])
+    def test_one_large_square_factor_is_settled_at_once(self, c, split):
+        # the cofactor is tested for a square each time a prime leaves it,
+        # so c p**2 never reaches the trial budget
+        p = 1125899906842597
+        start = time.perf_counter()
+        assert _square_free_split(c * p * p) == (split[0] * p, split[1])
+        assert time.perf_counter() - start < 0.05
+
+    def test_large_cube_still_hits_the_trial_budget(self):
+        p = 1125899906842597
+        with pytest.raises(PrecisionBudgetError):
+            _square_free_split(2 * p ** 3)
+
     def test_mobius_matches_fraction_arithmetic(self):
         t = QuadraticSurd(3, 0, 0, 7)
         img = t.mobius(MobiusMap(2, 1, 1, 1))
         assert img.as_fraction() == (2 * Fraction(3, 7) + 1) / (Fraction(3, 7) + 1)
 
 
+def reference_complement(x):
+    """cf_complement by the rule it had with three tail kinds: a head
+    rewrite that asks for the digit after a lone leading 1, which a
+    periodic x takes from its period and a truncated x does not have."""
+    def rule(head):
+        if head[0] == 1:
+            return None if len(head) == 1 else (head[1] + 1,) + head[2:]
+        return (1, head[0] - 1) + head[1:]
+
+    if x.is_periodic:
+        head, period = x.head, x.period
+        if not head:
+            head, period = (period[0],), period[1:] + period[:1]
+        out = rule(head)
+        if out is None:
+            out = (period[0] + 1,) + head[1:]
+            period = period[1:] + period[:1]
+        return CF(out, period)
+    if x.is_truncated:
+        out = rule(x.head) if x.head else None
+        return CF((), (), False) if out is None else CF(out, (), False)
+    if not x.head:
+        return ONE
+    return ZERO if x.head == (1,) else CF(rule(x.head))
+
+
 class TestComplement:
+    @pytest.mark.parametrize("kind", ["rational", "periodic", "truncated"])
+    def test_matches_the_three_kind_reference(self, kind):
+        rng = random.Random(f"complement-{kind}")
+        for _ in range(3000):
+            head = tuple(rng.choice((1, 1, 2, 3, 7, 40))
+                         for _ in range(rng.randint(0, 4)))
+            if kind == "periodic":
+                x = CF(head, tuple(rng.choice((1, 1, 2, 5))
+                                   for _ in range(rng.randint(1, 3))))
+            else:
+                x = CF(head, (), kind == "rational")
+            assert cf_complement(x) == reference_complement(x), x
+
     def test_goldens(self):
         assert cf_complement(cf_from_rational(1, 2)).head == (1, 1)
         assert cf_complement(cf_from_rational(2, 5)).head == (1, 1, 2)

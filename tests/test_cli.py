@@ -1,9 +1,12 @@
 """Tests for the command-line surface."""
 
 import json
+import math
 import os
 import random
 import shlex
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -12,7 +15,7 @@ import pytest
 
 from cfdyn import cli
 from cfdyn.cf import ContinuedFraction, ZERO, cf_from_rational, cf_value
-from cfdyn.errors import DomainError
+from cfdyn.errors import DomainError, PrecisionBudgetError
 from cfdyn.maps import t_alpha_step
 
 GOLDEN_CSV = os.path.join(os.path.dirname(__file__), "golden",
@@ -122,7 +125,52 @@ class TestQmarkCommand:
         assert "QMARK_BITS" in capsys.readouterr().err
 
 
+# A child interpreter with 1 GiB of address space: a path with no size
+# budget fails there with a MemoryError traceback instead of taking the
+# machine's memory.  It runs `body` with `cli` imported, then reports on
+# stderr how long `body` took and exits with `code`.
+_LIMITED_CHILD = """
+import resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from cfdyn import cli
+start = time.perf_counter()
+{body}
+sys.stderr.write(f"elapsed {{time.perf_counter() - start}}\\n")
+sys.exit(code)
+"""
+
+
+def _run_limited(body):
+    """(exit code, stderr, seconds `body` took) of a limited child."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-c", _LIMITED_CHILD.format(body=body)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    _, seen, took = done.stderr.rpartition("elapsed ")
+    return done.returncode, done.stderr, float(took) if seen else math.inf
+
+
 class TestJimmCommand:
+    def test_digit_sum_past_the_budget_is_refused_in_a_small_child(self):
+        # the float 0.3: its digit 900719925474098 would make jimm emit
+        # that many ones, about 7 PB
+        code, err, took = _run_limited(
+            "from cfdyn.cf import cf_from_rational\n"
+            "from cfdyn.errors import PrecisionBudgetError\n"
+            "from cfdyn.maps import jimm\n"
+            "try:\n"
+            "    jimm(cf_from_rational(0.3))\n"
+            "    code = 1\n"
+            "except PrecisionBudgetError:\n"
+            "    code = 2")
+        assert (code, took < 1.0) == (2, True), err
+        code, err, took = _run_limited(
+            'code = cli.main(["jimm", "--x", '
+            '"5404319552844595/18014398509481984"])')
+        assert (code, took < 1.0) == (2, True), err
+        assert "QMARK_BITS" in err and "Traceback" not in err
+
     def test_periodic_rewrite(self, capsys):
         assert cli.main(["jimm", "--x", "(2)"]) == 0
         assert capsys.readouterr().out == "[0;1,(2)]\n"
@@ -416,8 +464,10 @@ class TestHeatmap:
         # a step that always strips the first digit, never reduces,
         # differs from the map inside the 16-by-16 subgrid that every call
         # recomputes
-        def strip_only(table, alpha, f, t):
-            return np.where(f > 0, table.digit[0, t], 0), table.adv[1, t]
+        def strip_only(table, alpha, f, o):
+            x = np.arange(f.shape[1])
+            return (np.where(f > 0, table.digits[x, o], 0),
+                    np.minimum(o + 1, table.width - 1))
 
         monkeypatch.setattr(cli._SuffixTable, "step", strip_only,
                             raising=True)
@@ -467,6 +517,14 @@ class TestHeatmap:
         finally:
             tracemalloc.stop()
         assert peak < vals.nbytes + 8 * 2 ** 20
+
+    def test_grid_past_the_cap_rejected(self, tmp_path):
+        with pytest.raises(PrecisionBudgetError, match="GRID_MAX"):
+            cli.heatmap_values(cli.GRID_MAX + 1, 1)
+        code = cli.main(["heatmap", "--grid", str(cli.GRID_MAX + 1),
+                         "--iter", "1", "--out", str(tmp_path / "x.pgm")])
+        assert code == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_small_grid_rejected(self, tmp_path):
         code = cli.main(["heatmap", "--grid", "8", "--iter", "1",
