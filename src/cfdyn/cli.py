@@ -224,25 +224,27 @@ class _SuffixTable:
         differs from the parameter's first digit and otherwise 1 + min(LCP,
         length of the state's suffix).  o is always 1 or more, so i stays
         inside the parameter's row."""
-        x, last = np.arange(f.shape[1]), self.width - 1
+        w = self.width
+        row = np.arange(f.shape[1]) * w  # flat index of each point's row
+        at = row + o
         head = self.digits[alpha, 0]
-        common = np.minimum(self.lcp(self.pos[alpha, 1], self.pos[x, o]),
-                            self.length[x, o])
+        common = np.minimum(self.lcp(self.pos[alpha, 1], self.pos.take(at)),
+                            self.length.take(at))
         i = np.where(f == head, 1 + common, 0)
-        a = self.digits[alpha, i]
-        b = np.where(i == 0, f, self.digits[x, o + i - 1])
+        a = self.digits.take(alpha * w + i)
+        b = np.where(i == 0, f, self.digits.take(at + i - 1))
         reduce = (b > a) & (a > 0)
         # o + i is the offset of the state's digit i+1; the last column is
         # 0 in every row, so clipping there reaches the empty suffix
-        nxt = np.minimum(o + i, last)
-        f = np.where(b == 0, 0, np.where(reduce, b - a, self.digits[x, nxt]))
-        return f, np.minimum(nxt + 1 - reduce, last)
+        nxt = np.minimum(o + i, w - 1)
+        f = np.where(b == 0, 0, np.where(reduce, b - a, self.digits.take(row + nxt)))
+        return f, np.minimum(nxt + 1 - reduce, w - 1)
 
     def values(self, f: np.ndarray, o: np.ndarray) -> np.ndarray:
         """Values Q / (f Q + P) of the states, 0.0 where f is 0."""
-        x = np.arange(f.shape[1])
-        q, live = self.Q[x, o], f > 0
-        return np.where(live, q, 0) / np.where(live, f * q + self.P[x, o], 1)
+        at = np.arange(f.shape[1]) * self.width + o
+        q, live = self.Q.take(at), f > 0
+        return np.where(live, q, 0) / np.where(live, f * q + self.P.take(at), 1)
 
 
 def _check_cells(values: np.ndarray, n: int, k: int, variant: str) -> None:
