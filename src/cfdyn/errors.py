@@ -38,6 +38,6 @@ class ConvergenceError(RuntimeError):
 
 
 class PrecisionBudgetError(ValueError):
-    """A fixed bit budget does not fit the request: a randomised draw
-    with too few bits, or a question-mark value wider than
-    cf.QMARK_BITS."""
+    """A fixed budget does not fit the request: a randomised draw with
+    too few bits, a digit sum past cf.QMARK_BITS, a squarefree split past
+    cf.SQUAREFREE_TRIALS or a heatmap side past cli.GRID_MAX."""
