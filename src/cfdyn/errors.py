@@ -39,5 +39,6 @@ class ConvergenceError(RuntimeError):
 
 class PrecisionBudgetError(ValueError):
     """A fixed budget does not fit the request: a randomised draw with
-    too few bits, a digit sum past cf.QMARK_BITS, a squarefree split past
-    cf.SQUAREFREE_TRIALS or a heatmap side past cli.GRID_MAX."""
+    too few bits or more than lyapunov.BITS_MAX, a digit sum past
+    cf.QMARK_BITS, a squarefree split past cf.SQUAREFREE_TRIALS or a
+    heatmap side past cli.GRID_MAX."""

@@ -27,6 +27,7 @@ from .errors import (
 from .maps import GAUSS_ALPHA, _orbit_runs
 
 BITS_PER_STEP = 4  # digit entropy is ~1.7 bits/step a.e.; doubled for slack
+BITS_MAX = 2 ** 22  # bits per Monte Carlo start: 10^6 steps need 4*10^6
 
 
 class OrbitAverage(NamedTuple):
@@ -62,18 +63,17 @@ def lyapunov_orbit(alpha: ContinuedFraction, x: ContinuedFraction,
         raise DomainError("n must be >= 1")
     total = 0.0
     steps = 0
-    terminated = False
     try:
         for cur, m, dlog in _orbit_runs(alpha, x, n):
             total += dlog
             steps += m
-            terminated = m == 0 or cur.is_zero()
     except TruncationExhausted:
         raise TruncationExhausted(
             "orbit ran out of settled digits before finishing") from None
     if steps == 0:
         raise DerivativeUndefined("no derivative-carrying step was taken")
-    return OrbitAverage(total / steps, steps, terminated)
+    # the walk ends early only where its last run hit 0
+    return OrbitAverage(total / steps, steps, m == 0 or cur.is_zero())
 
 
 def lyapunov_qn(x: ContinuedFraction, n: int) -> float:
@@ -96,15 +96,23 @@ def monte_carlo_lyapunov(alpha: ContinuedFraction, n_samples: int,
 
     Samples whose orbit terminates before half the requested steps (or,
     for the growth method, whose expansion is shorter than n_steps) are
-    redrawn and counted in `discarded`."""
+    redrawn and counted in `discarded`.  A start wider than BITS_MAX
+    bits raises PrecisionBudgetError before the first draw, and a
+    negative seed DomainError: random.Random would seed it as its
+    absolute value, so it would repeat another seed's draws."""
     if n_samples < 1 or n_steps < 1:
         raise DomainError("need at least one sample and one step")
+    if seed < 0:
+        raise DomainError("seed must be >= 0")
     if bits is None:
         bits = BITS_PER_STEP * n_steps
     if bits < BITS_PER_STEP * n_steps:
         raise PrecisionBudgetError(
             f"{bits} bits cannot supply {n_steps} expansion steps; "
             f"need at least {BITS_PER_STEP * n_steps}")
+    if bits > BITS_MAX:
+        raise PrecisionBudgetError(
+            f"{bits} bits per start is past BITS_MAX = {BITS_MAX}")
     method = method.strip().lower()
     if method not in ("deriv_sum", "qn_growth"):
         raise DomainError(f"unknown method {method!r}")

@@ -155,9 +155,10 @@ class _Cursor:
     instead of rebuilding it: a dropped digit a left-multiplies G by
     [[a, 1], [1, 0]]^-1 = [[0, 1], [1, -a]] and each digit entering the
     window at the far end right-multiplies it by [[b, 1], [1, 0]]; a new
-    first digit is one shear of row 0 by row 1.  drop reads both kinds
-    of digit from the list by index; a drop deeper than the window
-    rebuilds it."""
+    first digit is one shear of row 0 by row 1.  drop slides the window
+    one digit at a time: the leaving digit is popped off rev (or read at
+    the phase, which then advances) and the entering one is read by
+    index.  A drop deeper than the window rebuilds it."""
 
     __slots__ = ("rev", "period", "phase", "exact", "w", "p", "pm1", "q", "qm1")
 
@@ -181,27 +182,32 @@ class _Cursor:
 
     def drop(self, j: int) -> None:
         rev, period, phase, w = self.rev, self.period, self.phase, self.w
-        h = len(rev)
-        if j <= w:
-            p, pm1, q, qm1 = self.p, self.pm1, self.q, self.qm1
-            for i in range(h - 1, h - 1 - j, -1):  # digits 0..j-1 leave
-                a = rev[i] if i >= 0 else period[(phase - 1 - i) % len(period)]
-                q, qm1, p, pm1 = p, pm1, q - a * p, qm1 - a * pm1
-            count = w - j
-            for i in range(h - 1 - w, h - 1 - w - j, -1):  # w..w+j-1 enter
-                if i < 0 and not period:  # past a rational's or a truncated head
-                    break
+        if j > w:  # deeper than the window: rebuild it
+            h = len(rev)
+            if j > h:  # only a periodic stream has digits past the head
+                rev.clear()
+                self.phase = (phase + j - h) % len(period)
+            else:
+                del rev[h - j:]
+            self._rebuild()
+            return
+        p, pm1, q, qm1 = self.p, self.pm1, self.q, self.qm1
+        while j:  # digit 0 leaves, then digit w enters as the new digit w-1
+            if rev:
+                a = rev.pop()
+            else:
+                a = period[phase]
+                phase = (phase + 1) % len(period)
+            q, qm1, p, pm1 = p, pm1, q - a * p, qm1 - a * pm1
+            i = len(rev) - w
+            if i < 0 and not period:  # past a rational's or a truncated head
+                w -= 1
+            else:
                 b = rev[i] if i >= 0 else period[(phase - 1 - i) % len(period)]
                 p, pm1, q, qm1 = b * p + pm1, p, b * q + qm1, q
-                count += 1
-            self.w, self.p, self.pm1, self.q, self.qm1 = count, p, pm1, q, qm1
-        if j > h:  # only a periodic stream has digits past the head
-            rev.clear()
-            self.phase = (phase + j - h) % len(period)
-        else:
-            del rev[h - j:]
-        if j > w:
-            self._rebuild()
+            j -= 1
+        self.w, self.phase, self.p, self.pm1, self.q, self.qm1 = \
+            w, phase, p, pm1, q, qm1
 
     def set_first(self, digit: int) -> None:
         if self.rev:
@@ -245,16 +251,28 @@ def _orbit_runs(alpha: ContinuedFraction, x: ContinuedFraction,
     (b-1)//a steps each subtract a from the first digit and have
     derivative a*y + 1 at their image y = 1/(b - j*a + t), t the tail's
     value, so the m steps telescope to (b+t)/(b-m*a+t) = 1 + m*a*y_m.
+    An answer of _compare that resolves at digit 1 depends on the
+    point's first digit alone, so the walk keeps those answers by that
+    digit and reuses them; deeper answers, and comparisons that raise,
+    are made afresh each step.
     When the comparison never resolves, the point goes to 0 with no
     derivative: (cursor, 0, 0.0) is yielded and the walk ends; it also
     ends once the cursor is 0.  TruncationExhausted propagates when a
     truncated point runs out of settled digits."""
     cur = _Cursor(x)
-    horizon = _decision_horizon(alpha, 0, len(cur.period))  # plus the head's length
+    rev, period = cur.rev, cur.period  # the cursor edits rev in place
+    horizon = _decision_horizon(alpha, 0, len(period))  # plus the head's length
+    shallow = {}  # answers that resolved at digit 1, by that digit
     steps = 0
     while steps < n:
-        case, k, b, a, c, d = _compare(alpha, cur.rev, cur.period, cur.phase,
-                                       cur.exact, horizon + len(cur.rev))
+        lead = rev[-1] if rev else period[cur.phase] if period else None
+        answer = shallow.get(lead)
+        if answer is None:
+            answer = _compare(alpha, rev, period, cur.phase, cur.exact,
+                              horizon + len(rev))
+            if answer[1] == 1 and lead is not None:
+                shallow[lead] = answer
+        case, k, b, a, c, d = answer
         if case == "zero":
             yield cur, 0, 0.0
             return

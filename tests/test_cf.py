@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from cfdyn import cf
 from cfdyn.cf import (
     INF,
     ONE,
@@ -184,6 +185,77 @@ class TestLehmerExpansion:
                                     variant=variant) == ONE
         self.check(0, 1)
         self.check(1, 1)
+
+    @staticmethod
+    def full_divmods(monkeypatch, p, q):
+        """How many divmods on operands wider than the 62-bit window the
+        expansion of p/q takes before plain Euclid finishes: each is a
+        batch where no quotient of the window was certain."""
+        seen = []
+
+        def spy(u, v):
+            seen.append(v.bit_length() > 62)
+            return divmod(u, v)
+
+        monkeypatch.setattr(cf, "divmod", spy, raising=False)
+        cf_from_rational(Fraction(p, q))
+        monkeypatch.undo()
+        return sum(seen)
+
+    @pytest.mark.parametrize("big", [(1 << 61) + 3, (1 << 62) - 1, 1 << 62,
+                                     (1 << 63) + 5, (1 << 64) - 1])
+    def test_huge_quotient_inside_a_long_expansion(self, big, monkeypatch):
+        # about 4000 bits of small digits on each side of one quotient of
+        # 61-64 bits: its window holds no certain quotient
+        rng = random.Random(big)
+        digits = [rng.randint(1, 30) for _ in range(1300)] + [big] + \
+            [rng.randint(1, 30) for _ in range(1300)] + [2]
+        p, q = 0, 1
+        for a in reversed(digits):  # [0; a, rest] = 1/(a + [0; rest])
+            p, q = q, a * q + p
+        assert q.bit_length() > 7000
+        assert plain_euclid(p, q) == digits
+        self.check(p, q)
+        assert self.full_divmods(monkeypatch, p, q) >= 1
+
+    @pytest.mark.parametrize("gap_bits", [1, 900, 7000, 7930])
+    def test_operands_share_their_top_62_bits(self, gap_bits, monkeypatch):
+        rng = random.Random(gap_bits)
+        u = rng.getrandbits(8000) | (1 << 7999)
+        v = u - (rng.getrandbits(gap_bits) | 1)
+        assert u >> (8000 - 62) == v >> (8000 - 62)
+        self.check(v, u)
+        assert self.full_divmods(monkeypatch, v, u) >= 1
+
+    @pytest.mark.parametrize("s", [30, 200, 7900])
+    def test_window_one_short_of_the_condition(self, s):
+        # Windows (u', v') one short of the condition: the first quotient
+        # 5 leaves r = 4 < |t'| = 5, and after q1 = 3 the quotient q2
+        # leaves v' - r = |t' - t| - 1.  With v's s unknown low bits all
+        # ones and u's all zeros, the full pair's quotient there differs
+        # from the window's, so a condition looser by one gives wrong
+        # digits.
+        vh = (1 << 59) + 77
+        q1, q2, r2 = 3, 1 << 20, (1 << 40) + 12345
+        r1 = r2 + q1 + q1 * q2
+        for uh, vh, want in [(5 * vh + 4, vh, [4]),
+                             (q1 * (q2 * r1 + r2) + r1, q2 * r1 + r2,
+                              [q1, q2 + 1])]:
+            assert 1 << 61 <= uh < 1 << 62
+            u, v = uh << s, (vh << s) + (1 << s) - 1
+            assert plain_euclid(v, u)[:len(want)] == want
+            self.check(v, u)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 1000, 1 << 40])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_one_off_a_multiple(self, k, sign):
+        # U = k*V +- 1: a remainder of 1 or one short of V, at either
+        # edge of the acceptance condition
+        v = random.Random(k).getrandbits(8000) | (1 << 7999) | 1
+        u = k * v + sign
+        if u < v:  # k = 1, sign -1
+            u, v = v, u
+        self.check(v, u)
 
 
 class TestCanonicalForm:

@@ -263,6 +263,23 @@ class TestLyapunovCommand:
         assert code == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("flags", [["--steps", "1000000000"],
+                                       ["--bits", "2147483647"]],
+                             ids=["steps", "bits"])
+    def test_start_past_the_bit_cap_is_refused_in_a_small_child(self, flags):
+        # 4e9 bits by default for the steps, or the bits asked for: the
+        # start alone would not fit in the child's 1 GiB
+        code, err, took = _run_limited(
+            f'code = cli.main(["lyapunov", "--alpha", "0", *{flags!r}])')
+        assert (code, took < 1.0) == (2, True), err
+        assert "BITS_MAX" in err and "Traceback" not in err
+
+    def test_negative_seed_exit(self, capsys):
+        code = cli.main(["lyapunov", "--alpha", "0", "--samples", "1",
+                         "--steps", "50", "--seed", "-1"])
+        assert code == 2
+        assert "seed" in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     def test_single_suite_report(self, capsys, tmp_path):

@@ -31,7 +31,7 @@ from cfdyn.maps import (
     t_alpha_step,
 )
 from cfdyn.series import fibonacci
-from cfdyn import lyapunov as ly
+from cfdyn import lyapunov as ly, maps
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 CF = ContinuedFraction
@@ -127,6 +127,43 @@ def outcome(fn, *args):
         return type(exc)
 
 
+def _examples(cases):
+    """One decorator applying @example for each (alpha, x, n) case."""
+    def apply(test):
+        for case in reversed(cases):
+            test = example(*case)(test)
+        return test
+    return apply
+
+
+# Cases for the walk's reuse of _compare answers that resolve at digit 1,
+# kept by the point's first digit: below, equal to and above a large first
+# digit of the parameter; a truncated parameter, whose comparisons raise
+# and so are never kept; first digits taken from the period; and heads at
+# the edge of the 40-digit window.
+SEVEN = CF((7,), (2,))
+REUSE_EXAMPLES = _examples([
+    (SEVEN, CF((3, 5, 7, 9, 7, 2)), 300),
+    (SEVEN, CF((7, 2, 2, 1, 7, 3)), 300),
+    (SEVEN, CF((7, 3, 30, 7, 8)), 300),
+    (SEVEN, CF((20, 1, 4, 15, 6)), 300),
+    (SEVEN, CF((2, 9), (7, 1, 16)), 300),
+    (SEVEN, CF((), (9, 7, 2)), 300),
+    (SEVEN, CF((), (7, 2)), 40),
+    (CF((), exact=False), CF((3, 5)), 10),
+    (CF((2,), exact=False), CF((5, 1, 9, 3)), 50),
+    (CF((2,), exact=False), CF((1, 6, 3)), 50),
+    (GAUSS_ALPHA, CF((), (3, 1)), 30),
+    (FIBONACCI_ALPHA, CF((), (5, 1, 1)), 60),
+    (GAUSS_ALPHA, CF(tuple(range(1, 41))), 300),
+    (GAUSS_ALPHA, CF(tuple(range(1, 42))), 300),
+    (SEVEN, CF((8,) * 40), 300),
+    (SEVEN, CF((3, 8) * 20 + (9,)), 300),
+    (GAUSS_ALPHA, CF((2,) * 40, (1, 3)), 100),
+    (GAUSS_ALPHA, CF((4,) * 41, exact=False), 100),
+])
+
+
 class TestAgainstStepwiseReference:
     @given(parameters, starts, st.integers(1, 300))
     @example(FIBONACCI_ALPHA, cf_from_rational(1, 10), 3)  # run cut by n
@@ -134,6 +171,7 @@ class TestAgainstStepwiseReference:
     @example(CF((), (2,)), CF((6, 3)), 300)
     # (2) against 7: 7 -> 5 -> 3 -> 1 reduces, then 1 < a strips
     @example(CF((), (2,)), CF((7, 3)), 300)
+    @REUSE_EXAMPLES
     def test_matches_single_steps(self, alpha, x, n):
         want = outcome(stepwise_average, alpha, x, n)
         got = outcome(ly.lyapunov_orbit, alpha, x, n)
@@ -142,9 +180,28 @@ class TestAgainstStepwiseReference:
             return
         assert (got.steps, got.terminated) == (want.steps, want.terminated)
         if alpha == GAUSS_ALPHA:  # no reduce steps: the same floats
-            assert got.value == want.value
+            assert got.value.hex() == want.value.hex()
         else:
             assert abs(got.value - want.value) <= 1e-12 * abs(want.value)
+
+    def test_only_answers_at_digit_one_are_reused(self, monkeypatch):
+        firsts = []
+
+        def spy(alpha, rev, period, phase, exact, cap):
+            firsts.append(rev[-1] if rev else period[phase])
+            return compare(alpha, rev, period, phase, exact, cap)
+
+        compare = maps._compare
+        monkeypatch.setattr(maps, "_compare", spy)
+        # parameter 0 resolves every step at digit 1: one call per value
+        x = CF((3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5), (2, 7))
+        assert ly.lyapunov_orbit(GAUSS_ALPHA, x, 200).steps == 200
+        assert sorted(firsts) == [1, 2, 3, 4, 5, 6, 7, 9]
+        # [0;(7,2)] under [0;7,(2)]: a first digit 7 resolves at digit 3
+        # on every visit, the strips of 5 and 2 at digit 1 once each
+        firsts.clear()
+        ly.lyapunov_orbit(SEVEN, CF((), (7, 2)), 30)
+        assert sorted(firsts) == [2, 5] + [7] * 10
 
     def test_golden_orbit_memory_is_bounded_by_digits(self):
         # a 16000-bit start has about 9400 digits; keeping every state of
@@ -183,6 +240,7 @@ class TestCursorWindow:
     # truncated: the window ends where the settled digits do
     @example(GAUSS_ALPHA, CF(tuple(range(1, 60)), exact=False), 300)
     @example(FIBONACCI_ALPHA, cf_from_rational(1, 10), 3)
+    @REUSE_EXAMPLES
     def test_window_matches_rebuild(self, alpha, x, n):
         try:
             for cur, _, _ in _orbit_runs(alpha, x, n):
@@ -289,6 +347,27 @@ class TestMonteCarlo:
     def test_insufficient_bits_rejected(self):
         with pytest.raises(PrecisionBudgetError):
             ly.monte_carlo_lyapunov(GAUSS_ALPHA, 4, 100, bits=200)
+
+    def test_bits_past_the_cap_rejected_before_any_draw(self, monkeypatch):
+        def no_draws(seed):
+            raise AssertionError("drew a start past the cap")
+
+        monkeypatch.setattr(ly.random, "Random", no_draws)
+        with pytest.raises(PrecisionBudgetError, match="BITS_MAX"):
+            ly.monte_carlo_lyapunov(GAUSS_ALPHA, 1, 100, bits=ly.BITS_MAX + 1)
+        with pytest.raises(PrecisionBudgetError, match="BITS_MAX"):
+            ly.monte_carlo_lyapunov(GAUSS_ALPHA, 1, ly.BITS_MAX // 4 + 1)
+        # the cap itself is allowed through to the draws
+        with pytest.raises(AssertionError, match="drew"):
+            ly.monte_carlo_lyapunov(GAUSS_ALPHA, 1, 100, bits=ly.BITS_MAX)
+
+    def test_negative_seed_rejected(self):
+        # random.Random(-1) is random.Random(1): seed -1 used to repeat
+        # seed 1's first draw, value for value
+        with pytest.raises(DomainError):
+            ly.monte_carlo_lyapunov(GAUSS_ALPHA, 1, 200, seed=-1)
+        assert ly.monte_carlo_lyapunov(GAUSS_ALPHA, 1, 200, seed=1).value \
+            == 2.4773409698849007
 
     def test_degenerate_single_step(self):
         est = ly.monte_carlo_lyapunov(GAUSS_ALPHA, 1, 1, seed=2)

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -57,3 +58,20 @@ def test_lyapunov_decay_prints_one_row_per_step_count():
     header, *rows = done.stdout.splitlines()
     assert header.split()[:2] == ["steps", "mean"]
     assert [row.split()[0] for row in rows] == ["50", "100"]
+
+
+def test_bench_pairs_runs_both_sides_and_summarises():
+    # the same checkout on both sides: one pair of short runs
+    done = run_script("bench_pairs.py", ROOT, ROOT, "--workload", "mc-orbits",
+                      "--seeds", "3", "--seconds", "0.5")
+    assert done.returncode == 0, done.stderr
+    *pairs, summary = [json.loads(line) for line in done.stdout.splitlines()]
+    assert [(p["seed"], p["first"]) for p in pairs] == [(3, "parent")]
+    for side in ("parent", "change"):
+        assert pairs[0][side]["correct"] and pairs[0][side]["failed"] == 0
+    assert summary["pairs"] == 1
+    assert sorted(summary["metrics"]) == ["peak_rss_mb", "setup_s", "solve_s"]
+    solve = summary["metrics"]["solve_s"]
+    assert solve["parent_median"] == pairs[0]["parent"]["solve_s"]
+    assert solve["parent_iqr"] == 0.0
+    assert solve["lower_in"] in ("0 of 1", "1 of 1")
