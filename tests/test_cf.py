@@ -171,7 +171,7 @@ class TestLehmerExpansion:
 
     def test_fibonacci_ratios(self):
         # consecutive Fibonacci numbers have all quotients 1: the most
-        # Euclid steps per bit, and the tightest quotient brackets
+        # Euclid steps per bit, so the most quotients to accept per window
         a, b = 0, 1
         for n in range(1, 3001):
             a, b = b, a + b
