@@ -12,8 +12,18 @@ side compare.
 Each finished pair is printed as one JSON line.  The last line is the
 summary: for every end-to-end metric, both sides' medians, the parent's
 (first directory's) quartiles and interquartile range, and in how many
-pairs the change (second directory) read lower.  The exit code is 1 if
-a run failed or reported `correct: false`.
+pairs the change (second directory) read lower.  Against the metric's
+entry in the parent's `BENCHMARK.json` it also gives:
+
+- `relative_change`: (change median - parent median) / parent median;
+- `past_bound`: that change is worse, in the metric's `better`
+  direction, by more than the metric's `bound`;
+- `claim_met`: a gain may be claimed.  At least ten pairs ran, the
+  change read better in at least nine tenths of all pairs (ties and
+  failed pairs count for neither), and its median is better than the
+  parent's by more than the parent's interquartile range.
+
+The exit code is 1 if a run failed or reported `correct: false`.
 """
 
 from __future__ import annotations
@@ -60,24 +70,45 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
-def summarise(pairs: list[dict]) -> dict:
+def end_to_end_specs(root: Path) -> dict:
+    """The end-to-end metric entries of root's BENCHMARK.json, by name."""
+    spec = json.loads((root / "BENCHMARK.json").read_text())
+    return {m["name"]: m for m in spec["end_to_end"]}
+
+
+def summarise(pairs: list[dict], specs: dict) -> dict:
     """Per metric: medians, the parent's quartiles and interquartile
-    range, and the pairs where the change read lower."""
+    range, the pairs where the change read lower, and the relative
+    change, bound and claim checks against `specs` (see the module
+    docstring).  A metric with no spec is taken as lower-better with no
+    bound; its `past_bound`, like any relative change to a zero parent
+    median, is None."""
     ok = [p for p in pairs if p["parent"]["correct"] and p["change"]["correct"]]
     metrics = [k for k in ok[0]["parent"] if k not in ("correct", "failed")] \
         if ok else []
     out = {}
     for name in metrics:
+        spec = specs.get(name, {})
+        sign = -1 if spec.get("better") == "higher" else 1  # > 0: worse
         a = [p["parent"][name] for p in ok]
         b = [p["change"][name] for p in ok]
         q1, q3 = quartiles(a)
         lower = sum(y < x for x, y in zip(a, b))
+        better = sum(sign * (y - x) < 0 for x, y in zip(a, b))
+        parent, change = statistics.median(a), statistics.median(b)
+        relative = (change - parent) / parent if parent else None
+        past_bound = (None if relative is None or "bound" not in spec
+                      else sign * relative > spec["bound"])
         out[name] = {
-            "parent_median": statistics.median(a),
-            "change_median": statistics.median(b),
+            "parent_median": parent,
+            "change_median": change,
             "parent_quartiles": [q1, q3],
             "parent_iqr": q3 - q1,
             "lower_in": f"{lower} of {len(ok)}",
+            "relative_change": relative,
+            "past_bound": past_bound,
+            "claim_met": (len(pairs) >= 10 and better >= 0.9 * len(pairs)
+                          and sign * (parent - change) > q3 - q1),
         }
     return out
 
@@ -96,6 +127,9 @@ def main(argv=None) -> int:
     for name, root in sides.items():
         if not (root / "perfbench" / "run.py").is_file():
             ap.error(f"{name} directory {root} has no perfbench/run.py")
+    if not (sides["parent"] / "BENCHMARK.json").is_file():
+        ap.error(f"parent directory {sides['parent']} has no BENCHMARK.json")
+    specs = end_to_end_specs(sides["parent"])
 
     pairs = []
     for i, seed in enumerate(args.seeds):
@@ -106,7 +140,8 @@ def main(argv=None) -> int:
         pairs.append(pair)
         print(json.dumps(pair), flush=True)
     print(json.dumps({"workload": args.workload, "seconds": args.seconds,
-                      "pairs": len(pairs), "metrics": summarise(pairs)}))
+                      "pairs": len(pairs),
+                      "metrics": summarise(pairs, specs)}))
     bad = any(not p[s]["correct"] or p[s].get("failed")
               for p in pairs for s in sides)
     return 1 if bad else 0

@@ -16,9 +16,9 @@ import os
 import re
 import sys
 from fractions import Fraction
+from typing import Iterable, Iterator
 
-import numpy as np
-
+from ._lazy import lazy_import
 from .cf import (ContinuedFraction, ZERO, cf_from_rational, cf_from_text,
                  cf_to_rational, cf_to_text, cf_value, convergents,
                  minkowski_q)
@@ -30,6 +30,8 @@ from .transfer import (closed_form_density, gkw_matrix, leading_eigen,
                        qmark_pushforward)
 from .verify import DENSITY_PAIRS, SUITES, all_passed
 from .zeta import zeta_alpha
+
+np = lazy_import("numpy")
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -86,16 +88,17 @@ def point_text(x: ContinuedFraction) -> str:
 _WRITE_CHUNK = 1 << 16
 
 
-def _atomic_write(*files: tuple[str, bytes | str]) -> None:
+def _atomic_write(*files: tuple[str, bytes | str | Iterable[str]]) -> None:
     """Write each (path, data) pair through a temp file in the path's
     directory, then rename the temp files into place in the order given.
 
     Every temp file is written before the first rename, and a failed
-    rename unlinks the files this call already put in place, so a failed
-    call leaves none of its outputs and no temp file behind.  A temp
-    file is created with mode 0o666 less the umask, the mode a plain
-    open(path, "w") gives, and the rename keeps it.  A str is written as
-    UTF-8, _WRITE_CHUNK characters at a time."""
+    rename, or a failure while an iterable is read, unlinks the files
+    this call already put in place, so a failed call leaves none of its
+    outputs and no temp file behind.  A temp file is created with mode
+    0o666 less the umask, the mode a plain open(path, "w") gives, and the
+    rename keeps it.  A str, or each str an iterable yields, is written
+    as UTF-8, _WRITE_CHUNK characters at a time."""
     staged, placed = [], []
     try:
         for path, data in files:
@@ -106,11 +109,12 @@ def _atomic_write(*files: tuple[str, bytes | str]) -> None:
             fd = os.open(tmp, flags, 0o666)
             staged.append((tmp, path))
             with os.fdopen(fd, "wb") as fh:
-                if isinstance(data, str):
-                    for i in range(0, len(data), _WRITE_CHUNK):
-                        fh.write(data[i:i + _WRITE_CHUNK].encode())
-                else:
+                if isinstance(data, bytes):
                     fh.write(data)
+                else:
+                    for text in [data] if isinstance(data, str) else data:
+                        for i in range(0, len(text), _WRITE_CHUNK):
+                            fh.write(text[i:i + _WRITE_CHUNK].encode())
         for tmp, path in staged:
             os.replace(tmp, path)
             placed.append(path)
@@ -321,34 +325,40 @@ def heatmap_pgm(values: np.ndarray) -> bytes:
             + pixels.T[::-1].astype(np.uint8).tobytes())
 
 
-def heatmap_csv(values: np.ndarray, n: int) -> str:
-    """CSV text of an n-by-n `heatmap_values` grid.
+def heatmap_csv(values: np.ndarray, n: int) -> Iterator[str]:
+    """CSV text of an n-by-n `heatmap_values` grid, as the header and
+    then one piece per alpha; `"".join` gives the whole text.
 
     A header `alpha,x,value`, then one row per cell: rows follow alpha
     and, within one alpha, x varies fastest.  Coordinates are the
     midpoints (2i+1)/2n and every number is printed as `.17g`; lines end
-    in CRLF, the last one too.  A grid holds far fewer distinct (x, value)
-    pairs than cells (2990 of 65 536 at n = 256, k = 1), so each column
-    keeps a dict from value to its "x,value" text, formatted once, and
-    one join over a list of every cell's shared pieces builds the text
-    with no string per row.  Values are keyed on float equality, under
-    which -0.0 and 0.0 are one key; the map's values are p/q with p >= 0
-    and never -0.0."""
+    in CRLF, the last one too.  The shape is checked here, at the call;
+    the pieces are built as they are read, so the whole text is never
+    held at once.  A grid holds far fewer distinct (x, value) pairs than
+    cells (2990 of 65 536 at n = 256, k = 1), so each column keeps a dict
+    from value to its "x,value" text, formatted once, and one join over
+    a list of each cell's shared pieces builds an alpha's piece with no
+    string per row.  Values are keyed on float equality, under which
+    -0.0 and 0.0 are one key; the map's values are p/q with p >= 0 and
+    never -0.0."""
     if values.shape != (n, n):
         raise DomainError(f"values of shape {values.shape} are not a "
                           f"{n}-by-{n} grid")
+    return _csv_pieces(values, n)
+
+
+def _csv_pieces(values: np.ndarray, n: int) -> Iterator[str]:
+    """The pieces `heatmap_csv` returns."""
+    yield "alpha,x,value\r\n"
     coords = [f"{(2 * i + 1) / (2 * n):.17g}" for i in range(n)]
     columns = [{} for _ in range(n)]
-    # the header, then each cell's "alpha," prefix, its text and CRLF
-    parts = ["\r\n"] * (3 * n * n + 1)
-    parts[0] = "alpha,x,value\r\n"
-    for i, (a, row) in enumerate(zip(coords, values)):
-        start = 3 * n * i + 1
-        parts[start:start + 3 * n:3] = [a + ","] * n
-        parts[start + 1:start + 3 * n:3] = [
-            text.get(v) or text.setdefault(v, f"{x},{v:.17g}")
-            for text, x, v in zip(columns, coords, row.tolist())]
-    return "".join(parts)
+    # each cell's "alpha," prefix, its text and CRLF
+    parts = ["\r\n"] * (3 * n)
+    for a, row in zip(coords, values):
+        parts[0::3] = [a + ","] * n
+        parts[1::3] = [text.get(v) or text.setdefault(v, f"{x},{v:.17g}")
+                       for text, x, v in zip(columns, coords, row.tolist())]
+        yield "".join(parts)
 
 
 # ---------------------------------------------------------------------------

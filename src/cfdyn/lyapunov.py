@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-import numpy as np
-
+from ._lazy import lazy_import
 from .cf import ContinuedFraction, _last_convergent, cf_from_rational
 from .errors import (
     DerivativeUndefined,
@@ -25,6 +24,8 @@ from .errors import (
     TruncationExhausted,
 )
 from .maps import GAUSS_ALPHA, _orbit_runs
+
+np = lazy_import("numpy")
 
 BITS_PER_STEP = 4  # digit entropy is ~1.7 bits/step a.e.; doubled for slack
 BITS_MAX = 2 ** 22  # bits per Monte Carlo start: 10^6 steps need 4*10^6

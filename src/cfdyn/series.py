@@ -4,12 +4,14 @@ shifted power sum, and the (value, tail) pair every series returns."""
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
-import numpy as np
-
+from ._lazy import lazy_import
 from .errors import DomainError
+
+np = lazy_import("numpy")
 
 
 class SeriesValue(NamedTuple):
@@ -40,12 +42,17 @@ def _fib_bound(p: float) -> float:
     return phi ** p / (1.0 - phi ** -p)
 
 
-# 12 explicit summands, then B_{2k}/(2k)! for k = 1..7: six corrections
-# and the first omitted one, the tail
-_EXPLICIT = np.arange(12.0)
-_BERNOULLI = np.array([1 / 12, -1 / 720, 1 / 30240, -1 / 1209600,
-                       1 / 47900160, -691 / 1307674368000, 1 / 74724249600])
-_EVEN = 2.0 * np.arange(7)
+@functools.cache
+def _tables() -> tuple:
+    """(explicit, bernoulli, even): the offsets of the 12 explicit
+    summands, B_{2k}/(2k)! for k = 1..7 (six corrections and the first
+    omitted one, the tail) and the exponents 2(k - 1).  Built once, on
+    the first `power_tail` call, so that importing this module runs no
+    numpy."""
+    return (np.arange(12.0),
+            np.array([1 / 12, -1 / 720, 1 / 30240, -1 / 1209600,
+                      1 / 47900160, -691 / 1307674368000, 1 / 74724249600]),
+            2.0 * np.arange(7))
 
 
 def _power(u, e):
@@ -67,6 +74,7 @@ def power_tail(a, b, p, start) -> SeriesValue:
     bits as its scalar call; an infinite start gives 0.  At p = 1 the sum
     diverges; the integral term -log(u)/a then makes the value at start 0
     -(digamma(b/a) + log a)/a, and differences at one a converge."""
+    explicit, bernoulli, even = _tables()
     u0 = a * start + b
     scalar = getattr(p, "ndim", 0) == 0 and getattr(u0, "ndim", 0) == 0
     # numpy's array and scalar powers round differently, so scalars are
@@ -75,15 +83,15 @@ def power_tail(a, b, p, start) -> SeriesValue:
     lo = p.min()
     if not (1 <= lo and p.max() < math.inf and a.min() > 0 and u0.min() > 0):
         raise DomainError("need a > 0, summands > 0 and a finite p >= 1")
-    u = u0 + a * _EXPLICIT.size
+    u = u0 + a * explicit.size
     one = p == 1  # where the integral is -log(u)/a, not this quotient
     integral = _power(u, 1.0 - p) / (a * (p - 1.0 + one))
     if lo == 1:
         integral = np.where(one, -np.log(u) / a, integral)
     # the k-th correction: B_{2k}/(2k)! (p)_{2k-1} a^(2k-1) u^(1-p-2k)
-    coeffs = _BERNOULLI * np.cumprod(p + np.arange(13.0), axis=-1)[..., ::2]
-    corr = coeffs * (a * u ** (-p - 1.0)) * (a / u) ** _EVEN
-    total = (np.add.reduce(_power(u0 + a * _EXPLICIT, -p), axis=-1)
+    coeffs = bernoulli * np.cumprod(p + np.arange(13.0), axis=-1)[..., ::2]
+    corr = coeffs * (a * u ** (-p - 1.0)) * (a / u) ** even
+    total = (np.add.reduce(_power(u0 + a * explicit, -p), axis=-1)
              + np.add.reduce(corr[..., :-1], axis=-1)
              + (integral + 0.5 * _power(u, -p))[..., 0])
     tail = np.abs(corr[..., -1])

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-import numpy as np
-
+from ._lazy import lazy_import
 from .cf import (
     INF,
     ContinuedFraction,
@@ -31,6 +30,8 @@ from .cf import (
 )
 from .errors import ConvergenceError, DomainError, TruncationExhausted
 from .series import SeriesValue, _fib_bound, hurwitz_sum, power_tail
+
+np = lazy_import("numpy")
 
 LOG2 = math.log(2.0)
 

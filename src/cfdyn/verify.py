@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Optional
 
-import numpy as np
-
+from ._lazy import lazy_import
 from .cf import (ContinuedFraction, ONE, agrees_on_settled, cf_complement,
                  cf_from_rational, from_binary_string, minkowski_q,
                  to_binary_string)
@@ -35,7 +35,9 @@ from .transfer import (HALF_MINUS, apply_transfer, closed_form_density,
                        residual_master, transfer_equivalences)
 from .zeta import fib_functional_eq_residual, fib_zeta, hurwitz_zeta
 
-EPS = float(np.finfo(float).eps)
+np = lazy_import("numpy")
+
+EPS = sys.float_info.epsilon
 
 # sum_{k>=1} 1/F_k (OEIS A079586; irrational by Andre-Jeannin, 1989)
 _RECIPROCAL_FIBONACCI = 3.359885666243177553

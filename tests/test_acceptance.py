@@ -145,8 +145,8 @@ def test_criterion_9_heatmap_reproduction(criterion_report):
     # determinism through the pinned golden file below.
     symmetric = np.array_equal(first, first[::-1, ::-1])
     with open(GOLDEN_CSV, "rb") as fh:
-        golden_ok = cli.heatmap_csv(cli.heatmap_values(16, 1),
-                                    16).encode() == fh.read()
+        golden_ok = "".join(cli.heatmap_csv(cli.heatmap_values(16, 1),
+                                            16)).encode() == fh.read()
     sized = (len(pgm_first) == len(pgm_third)
              == len(b"P5\n256 256\n255\n") + 256 * 256)
     ok = symmetric and golden_ok and sized and elapsed < 60.0

@@ -140,6 +140,21 @@ sys.exit(code)
 """
 
 
+# Runs `cfdyn <argv>` in a child and prints that child's peak resident
+# size from os.wait4.  An exec'd child's ru_maxrss starts at its parent's
+# resident size, so this fresh interpreter stands between the child and a
+# test process that may hold hundreds of MB.
+_PEAK_OF_CHILD = """
+import os, subprocess, sys
+child = subprocess.Popen([sys.executable, "-m", "cfdyn", *sys.argv[1:]],
+                         stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(child.pid, 0)
+child.returncode = os.waitstatus_to_exitcode(status)
+print(usage.ru_maxrss)
+sys.exit(child.returncode)
+"""
+
+
 def _run_limited(body):
     """(exit code, stderr, seconds `body` took) of a limited child."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -399,12 +414,12 @@ class TestHeatmap:
     def test_golden_csv_byte_exact(self):
         vals = cli.heatmap_values(16, 1)
         with open(GOLDEN_CSV, "rb") as fh:
-            assert cli.heatmap_csv(vals, 16).encode() == fh.read()
+            assert "".join(cli.heatmap_csv(vals, 16)).encode() == fh.read()
 
     @pytest.mark.parametrize("n, seed", [(16, 0), (17, 1), (40, 2)])
     def test_csv_matches_per_cell_formatting(self, n, seed):
         vals = _crafted_grid(n, seed)
-        text = cli.heatmap_csv(vals, n)
+        text = "".join(cli.heatmap_csv(vals, n))
         assert text == _reference_csv(vals, n)
         assert ",0.10000000000000001\r\n" in text
 
@@ -430,6 +445,26 @@ class TestHeatmap:
         assert code == 0
         assert (tmp_path / "img.pgm").exists()
         assert (tmp_path / "img.csv").exists()
+
+    def test_largest_grid_streams_its_csv(self, tmp_path):
+        # the GRID_MAX run writes 214 MB of CSV text and must not hold it:
+        # it peaked at 369 MB when it did, and at 128 MB streamed
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+        argv = ["heatmap", "--grid", str(cli.GRID_MAX), "--iter", "1",
+                "--out", str(tmp_path / "big.pgm")]
+        try:
+            done = subprocess.run([sys.executable, "-c", _PEAK_OF_CHILD, *argv],
+                                  env=env, capture_output=True, text=True,
+                                  timeout=120)
+            assert done.returncode == 0, done.stderr
+            assert (tmp_path / "big.csv").stat().st_size > 200_000_000
+        finally:  # pytest keeps recent temp directories
+            for name in ("big.csv", "big.pgm"):
+                (tmp_path / name).unlink(missing_ok=True)
+        peak_mb = int(done.stdout) / 1024  # ru_maxrss is in KiB on Linux
+        assert peak_mb < 200
 
     @pytest.mark.parametrize("mask", [0o022, 0o077], ids=["022", "077"])
     def test_output_files_get_the_umask_mode(self, mask, tmp_path):
@@ -576,6 +611,26 @@ class TestAtomicWrite:
         assert path.read_bytes() == text.encode()
         assert peak < len(text) // 8
         assert [p.name for p in tmp_path.iterdir()] == ["big.csv"]
+
+    def test_pieces_are_written_in_order(self, tmp_path):
+        pieces = ["alpha", "", "x" * (3 * cli._WRITE_CHUNK + 5), "\r\n"]
+        path = tmp_path / "pieces.csv"
+        cli._atomic_write((str(path), iter(pieces)))
+        assert path.read_bytes() == "".join(pieces).encode()
+
+    def test_pieces_that_fail_leave_no_output(self, tmp_path):
+        # a failure while the pieces are read comes before any rename, so
+        # the files written earlier in the call and the older file survive
+        def pieces():
+            yield "first row\r\n"
+            raise DomainError("bad grid")
+
+        (tmp_path / "b.csv").write_text("old")
+        with pytest.raises(DomainError):
+            cli._atomic_write((str(tmp_path / "a.pgm"), b"P5"),
+                              (str(tmp_path / "b.csv"), pieces()))
+        assert [p.name for p in tmp_path.iterdir()] == ["b.csv"]
+        assert (tmp_path / "b.csv").read_text() == "old"
 
 
 def readme_cli_lines():
